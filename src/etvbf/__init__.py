@@ -1,6 +1,6 @@
 """Event-triggered adaptive variational filtering and its benchmark harness."""
 
-from .baselines import KfState, clset_kf_step, kf_oracle_step, vbf_step
+from .baselines import KfState, clset_kf_step, kf_oracle_step
 from .filter import (
     FilterConfig,
     FilterState,
@@ -47,7 +47,6 @@ __all__ = [
     "sensor_decide",
     "simulate_truth",
     "trigger_probability",
-    "vbf_step",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
-"""Comparison filters sharing the model and trigger interfaces.
+"""Known-covariance Kalman baselines sharing the model and trigger interfaces.
 
-Covers the known-covariance event-triggered Kalman filter, the
-non-triggered variational filter, and an oracle Kalman filter that is
-handed the true time-varying noise covariances.
+Covers the known-covariance event-triggered Kalman filter and an oracle
+Kalman filter that is handed the true time-varying noise covariances.
+Both reuse the adaptive filter's transmit and silent updates with known
+covariances in place of the variational estimates. The non-triggered
+variational filter is the adaptive filter fed an always-transmit outcome.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import FilterConfig, FilterState, StepDiagnostics, etvbf_step
-from .numerics import spd_factor, symmetrize
+from .filter import kalman_update, silent_update
+from .numerics import symmetrize
 from .trigger import TriggerOutcome
 
-__all__ = ["KfState", "clset_kf_step", "kf_oracle_step", "vbf_step"]
+__all__ = ["KfState", "clset_kf_step", "kf_oracle_step"]
 
 
 @dataclass(frozen=True)
@@ -30,17 +32,6 @@ def _kf_predict(state: KfState, F: np.ndarray, Q: np.ndarray):
     x_pred = F @ state.x_hat
     p_pred = symmetrize(F @ state.P @ F.T) + Q
     return x_pred, p_pred
-
-
-def _kf_update(
-    x_pred: np.ndarray, p_pred: np.ndarray, H: np.ndarray, R: np.ndarray, z: np.ndarray
-) -> KfState:
-    ph_t = p_pred @ H.T
-    innovation_cov = spd_factor(symmetrize(H @ ph_t) + R)
-    gain = innovation_cov.solve(ph_t.T).T
-    x_hat = x_pred + gain @ (z - H @ x_pred)
-    p_hat = symmetrize(p_pred - ph_t @ innovation_cov.solve(ph_t.T))
-    return KfState(x_hat=x_hat, P=p_hat)
 
 
 def clset_kf_step(
@@ -60,11 +51,8 @@ def clset_kf_step(
     """
     x_pred, p_pred = _kf_predict(state, F, q_bar)
     if outcome.gamma == 1:
-        return _kf_update(x_pred, p_pred, H, r_bar, outcome.measurement)
-    y_inv = spd_factor(Y).inverse()
-    ph_t = p_pred @ H.T
-    inner = spd_factor(symmetrize(H @ ph_t) + r_bar + y_inv)
-    p_hat = symmetrize(p_pred - ph_t @ inner.solve(ph_t.T))
+        return KfState(*kalman_update(x_pred, p_pred, outcome.measurement, H, r_bar))
+    p_hat, _, _ = silent_update(p_pred, H, r_bar, Y)
     return KfState(x_hat=x_pred, P=p_hat)
 
 
@@ -78,16 +66,4 @@ def kf_oracle_step(
 ) -> KfState:
     """Standard Kalman recursion fed the true time-varying covariances."""
     x_pred, p_pred = _kf_predict(state, F, Q)
-    return _kf_update(x_pred, p_pred, H, R, z)
-
-
-def vbf_step(
-    state: FilterState,
-    F: np.ndarray,
-    H: np.ndarray,
-    z: np.ndarray,
-    cfg: FilterConfig,
-) -> tuple[FilterState, StepDiagnostics]:
-    """Variational filter without the trigger: every measurement transmitted."""
-    outcome = TriggerOutcome(gamma=1, measurement=np.asarray(z, dtype=float))
-    return etvbf_step(state, F, H, outcome, cfg)
+    return KfState(*kalman_update(x_pred, p_pred, z, H, R))

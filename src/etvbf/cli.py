@@ -45,7 +45,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file mirroring the experiment config")
     parser.add_argument("--out", default="etvbf_out", help="output path prefix")
     parser.add_argument("--profile", choices=sorted(PROFILES), default="desk")
-    parser.add_argument("--workers", type=int, help="trial worker threads")
 
 
 def _resolve_config(args, **overrides) -> ExperimentConfig:
@@ -61,8 +60,6 @@ def _resolve_config(args, **overrides) -> ExperimentConfig:
         data["n_mc"] = args.mc
     if args.steps is not None:
         data["n_step"] = args.steps
-    if args.workers is not None:
-        data["workers"] = args.workers
     data.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig.from_dict(data)
 

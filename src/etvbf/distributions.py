@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    digamma,
-    log_multivariate_gamma,
-    multivariate_digamma,
-    spd_factor,
-)
+from .numerics import digamma, multivariate_digamma, spd_factor
 
 __all__ = [
     "InverseWishart",
@@ -26,9 +21,7 @@ __all__ = [
     "SeededRng",
     "iw_mean_of_inverse",
     "iw_expected_logdet",
-    "iw_log_pdf",
     "dirichlet_expected_log",
-    "dirichlet_mean",
     "normalize_log_weights",
     "sample_gaussian",
     "sample_uniform",
@@ -107,30 +100,10 @@ def iw_expected_logdet(iw: InverseWishart) -> float:
     return logdet_scale - iw.dim * math.log(2.0) - multivariate_digamma(iw.dim, 0.5 * iw.dof)
 
 
-def iw_log_pdf(iw: InverseWishart, p: np.ndarray) -> float:
-    """Log density of the inverse-Wishart distribution at an SPD matrix p."""
-    n, g = iw.dim, iw.dof
-    scale_factor = spd_factor(iw.scale)
-    p_factor = spd_factor(np.asarray(p, dtype=float))
-    trace_term = float(np.trace(p_factor.solve(iw.scale)))
-    return (
-        0.5 * g * scale_factor.log_det()
-        - 0.5 * (g + n + 1) * p_factor.log_det()
-        - 0.5 * trace_term
-        - 0.5 * g * n * math.log(2.0)
-        - log_multivariate_gamma(n, 0.5 * g)
-    )
-
-
 def dirichlet_expected_log(d: Dirichlet) -> np.ndarray:
     """E{log mu_j} = psi(alpha_j) - psi(sum alpha)."""
     total = float(d.concentration.sum())
     return np.array([digamma(a) - digamma(total) for a in d.concentration])
-
-
-def dirichlet_mean(d: Dirichlet) -> CategoricalWeights:
-    """E{mu_j} = alpha_j / sum alpha."""
-    return CategoricalWeights(d.concentration / d.concentration.sum())
 
 
 def normalize_log_weights(log_w: np.ndarray) -> CategoricalWeights:

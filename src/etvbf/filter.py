@@ -6,7 +6,9 @@ inverse-Wishart posterior over a bank of nominal process noise
 covariances), the measurement noise covariance, and the mixture weights,
 for either trigger branch. The no-measurement branch still extracts
 information from the fact that the innovation was small enough to stay
-below the stochastic trigger.
+below the stochastic trigger. The two branch updates, kalman_update and
+silent_update, are plain functions of a predicted covariance that the
+known-covariance Kalman baselines reuse.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "IterationState",
     "StepDiagnostics",
     "initial_state",
+    "kalman_update",
+    "silent_update",
     "predict",
     "init_iteration",
     "update_joint_no_meas",
@@ -191,43 +195,57 @@ def init_iteration(pred: Prediction, cfg: FilterConfig) -> IterationState:
     )
 
 
-def update_joint_no_meas(
-    it: IterationState, x_pred: np.ndarray, H: np.ndarray, Y: np.ndarray
-) -> None:
-    """No-transmission branch: refresh the joint state/measurement covariance blocks.
+def kalman_update(
+    x_pred: np.ndarray, p_pred: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transmission branch: standard gain update of (x_pred, p_pred) with z ~ N(Hx, R)."""
+    ph_t = p_pred @ H.T
+    innovation_cov = spd_factor(symmetrize(H @ ph_t) + R)
+    gain = innovation_cov.solve(ph_t.T).T
+    x_hat = x_pred + gain @ (z - H @ x_pred)
+    p_hat = symmetrize(p_pred - ph_t @ innovation_cov.solve(ph_t.T))
+    return x_hat, p_hat
+
+
+def silent_update(
+    p_pred: np.ndarray, H: np.ndarray, R: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """No-transmission branch: joint state/measurement covariance blocks (P, Pxz, Pzz).
 
     With the measurement withheld, the state and the unseen measurement
     stay jointly Gaussian; the trigger contributes Y as extra information
-    on the measurement block. The closed forms are the blocks of
-    (Phi_tilde^{-1} + diag(0, Y))^{-1}, rearranged so that only the
+    on the measurement block. The blocks are those of
+    (Phi^{-1} + diag(0, Y))^{-1}, rearranged so that only the
     well-conditioned m-by-m matrix I + Y (H P H^T + R) is ever solved
     against (the direct forms would need Y^{-1}, which blows up for the
-    small trigger weights used in practice).
+    small trigger weights used in practice). The estimate stays at the
+    prediction.
     """
-    p_tilde, r_tilde = it.p_tilde, it.r_tilde
     m = Y.shape[0]
-    ph_t = p_tilde @ H.T
-    c = symmetrize(H @ ph_t) + r_tilde
+    ph_t = p_pred @ H.T
+    c = symmetrize(H @ ph_t) + R
     gain_core = np.eye(m) + Y @ c
     try:
-        it.Pxz = np.linalg.solve(gain_core.T, ph_t.T).T
-        it.Pzz = symmetrize(np.linalg.solve(gain_core.T, c))
+        p_xz = np.linalg.solve(gain_core.T, ph_t.T).T
+        p_zz = symmetrize(np.linalg.solve(gain_core.T, c))
     except np.linalg.LinAlgError as exc:
         raise Singular("trigger-augmented innovation matrix is singular") from exc
+    return symmetrize(p_pred - p_xz @ Y @ ph_t.T), p_xz, p_zz
+
+
+def update_joint_no_meas(
+    it: IterationState, x_pred: np.ndarray, H: np.ndarray, Y: np.ndarray
+) -> None:
+    """No-transmission branch with the working covariances (see silent_update)."""
+    it.P, it.Pxz, it.Pzz = silent_update(it.p_tilde, H, it.r_tilde, Y)
     it.x = x_pred.copy()
-    it.P = symmetrize(p_tilde - it.Pxz @ Y @ ph_t.T)
 
 
 def update_state_meas(
     it: IterationState, x_pred: np.ndarray, z: np.ndarray, H: np.ndarray
 ) -> None:
     """Transmission branch: standard gain update with the working covariances."""
-    p_tilde, r_tilde = it.p_tilde, it.r_tilde
-    ph_t = p_tilde @ H.T
-    innovation_cov = spd_factor(symmetrize(H @ ph_t) + r_tilde)
-    gain = innovation_cov.solve(ph_t.T).T
-    it.x = x_pred + gain @ (z - H @ x_pred)
-    it.P = symmetrize(p_tilde - ph_t @ innovation_cov.solve(ph_t.T))
+    it.x, it.P = kalman_update(x_pred, it.p_tilde, z, H, it.r_tilde)
     it.Pxz = None
     it.Pzz = None
 

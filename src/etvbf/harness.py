@@ -3,7 +3,10 @@
 Trials are deterministic given (config, filter id, trial index). Truth
 and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while
-each filter's trigger draws come from a filter-local stream.
+each triggered filter's draws come from a filter-local stream. All four
+filters run through one step loop; a filter id only selects the step
+function and whether the sensor trigger or an always-transmit outcome
+decides each step.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import dataclasses
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .baselines import KfState, clset_kf_step, kf_oracle_step
 from .distributions import SeededRng, sample_gaussian
 from .filter import FilterConfig, etvbf_step, initial_state
-from .model import build_cv_scenario, scenario_defaults, simulate_truth
+from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
 
@@ -42,7 +44,9 @@ FILTER_CLSET = "clset-kf"
 FILTER_ORACLE = "oracle-kf"
 FILTER_IDS = (FILTER_ETVBF, FILTER_VBF, FILTER_CLSET, FILTER_ORACLE)
 
-SWEEP_PARAMS = ("y", "r", "rho")
+# Sweep parameter -> the ExperimentConfig field each grid value sets.
+SWEEP_FIELDS = {"y": "y_scale", "r": "r_scale", "rho": "rho"}
+SWEEP_PARAMS = tuple(SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,6 @@ class ExperimentConfig:
     clset_q_scale: float = 4.0
     max_iterations: int = 50
     tol: float = 1e-6
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
@@ -86,8 +89,6 @@ class ExperimentConfig:
             raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
         if any(v <= 0 for v in self.sweep_grid):
             raise ValueError("sweep grid values must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -165,6 +166,44 @@ def _trigger_stream(cfg: ExperimentConfig, trial_index: int, filter_id: str) -> 
     return SeededRng((cfg.base_seed, trial_index, zlib.crc32(filter_id.encode("utf-8"))))
 
 
+def _resolve_filter(
+    filter_id: str,
+    cfg: ExperimentConfig,
+    fcfg: FilterConfig,
+    model: ModelSpec,
+    x0_hat: np.ndarray,
+    p0: np.ndarray,
+):
+    """Initial state and step function of one filter, and whether the trigger drives it.
+
+    The step maps (state, k, F_k, H_k, outcome) to (state, sweeps); the
+    Kalman baselines report zero sweeps. Untriggered filters are handed
+    an always-transmit outcome.
+    """
+    if filter_id in (FILTER_ETVBF, FILTER_VBF):
+
+        def step(state, k, f_k, h_k, outcome):
+            state, diag = etvbf_step(state, f_k, h_k, outcome, fcfg)
+            return state, diag.iterations
+
+        return initial_state(x0_hat, p0, fcfg), step, filter_id == FILTER_ETVBF
+    kf_state = KfState(x_hat=x0_hat, P=p0)
+    if filter_id == FILTER_CLSET:
+        q_bar = cfg.clset_q_scale * np.eye(4)
+        r_bar = cfg.r_scale * np.eye(2)
+
+        def step(state, k, f_k, h_k, outcome):
+            return clset_kf_step(state, f_k, h_k, q_bar, r_bar, fcfg.trigger.Y, outcome), 0
+
+        return kf_state, step, True
+
+    def step(state, k, f_k, h_k, outcome):
+        q_k, r_k = model.trueQ(k), model.trueR(k)
+        return kf_oracle_step(state, f_k, h_k, q_k, r_k, outcome.measurement), 0
+
+    return kf_state, step, False
+
+
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:
     """Simulate one closed sensor-estimator loop for one filter.
 
@@ -181,6 +220,7 @@ def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialR
     traj = simulate_truth(model, x0, cfg.n_step, truth_rng)
     trig_rng = _trigger_stream(cfg, trial_index, filter_id)
     fcfg = build_filter_config(cfg)
+    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, x0_hat, p0)
 
     estimate = np.full((cfg.n_step, model.n), np.nan)
     gamma = np.zeros(cfg.n_step, dtype=int)
@@ -194,43 +234,23 @@ def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialR
         iterations=iterations,
     )
 
-    vb_state = initial_state(x0_hat, p0, fcfg)
-    kf_state = KfState(x_hat=x0_hat, P=p0)
-    q_bar = cfg.clset_q_scale * np.eye(4)
-    r_bar = cfg.r_scale * np.eye(2)
-
     for k in range(1, cfg.n_step + 1):
         f_k, h_k = model.F(k), model.H(k)
         z_k = traj.measurements[k - 1]
         try:
-            if filter_id == FILTER_ORACLE:
-                kf_state = kf_oracle_step(
-                    kf_state, f_k, h_k, model.trueQ(k), model.trueR(k), z_k
-                )
-                estimate[k - 1] = kf_state.x_hat
-                gamma[k - 1] = 1
-            elif filter_id == FILTER_CLSET:
-                z_pred = h_k @ (f_k @ kf_state.x_hat)
+            if triggered:
+                z_pred = h_k @ (f_k @ state.x_hat)
                 outcome = sensor_decide(z_k, z_pred, fcfg.trigger, trig_rng)
-                kf_state = clset_kf_step(
-                    kf_state, f_k, h_k, q_bar, r_bar, fcfg.trigger.Y, outcome
-                )
-                estimate[k - 1] = kf_state.x_hat
-                gamma[k - 1] = outcome.gamma
             else:
-                if filter_id == FILTER_VBF:
-                    outcome = TriggerOutcome(gamma=1, measurement=z_k)
-                else:
-                    z_pred = h_k @ (f_k @ vb_state.x_hat)
-                    outcome = sensor_decide(z_k, z_pred, fcfg.trigger, trig_rng)
-                vb_state, diag = etvbf_step(vb_state, f_k, h_k, outcome, fcfg)
-                estimate[k - 1] = vb_state.x_hat
-                gamma[k - 1] = outcome.gamma
-                iterations[k - 1] = diag.iterations
+                outcome = TriggerOutcome(gamma=1, measurement=z_k)
+            state, sweeps = step(state, k, f_k, h_k, outcome)
         except (NotPositiveDefinite, Singular):
             record.failed = True
             record.fail_step = k
             break
+        estimate[k - 1] = state.x_hat
+        gamma[k - 1] = outcome.gamma
+        iterations[k - 1] = sweeps
     return record
 
 
@@ -262,36 +282,19 @@ def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:
     return rmse, comm_rate, mean_iterations
 
 
-def _apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    if cfg.sweep_param == "y":
-        return dataclasses.replace(cfg, y_scale=value)
-    if cfg.sweep_param == "r":
-        return dataclasses.replace(cfg, r_scale=value)
-    if cfg.sweep_param == "rho":
-        return dataclasses.replace(cfg, rho=value)
-    raise ValueError("config has no sweep parameter set")
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run all filters over the sweep grid; one row per (value, filter).
 
-    Trials run in a thread pool sized by cfg.workers; aggregation is a
-    deterministic fold in trial order, so the worker count never changes
-    the results.
+    Trials run in order, and each cell is a deterministic fold in trial
+    order, so the same config always gives the same rows.
     """
     if cfg.sweep_param is None or not cfg.sweep_grid:
         raise ValueError("run_sweep needs sweep_param and a nonempty sweep_grid")
     rows: list[SweepRow] = []
     for value in cfg.sweep_grid:
-        point_cfg = _apply_sweep_value(cfg, value)
+        point_cfg = dataclasses.replace(cfg, **{SWEEP_FIELDS[cfg.sweep_param]: value})
         for filter_id in cfg.filters:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                records = list(
-                    pool.map(
-                        lambda t: run_trial(point_cfg, filter_id, t),
-                        range(cfg.n_mc),
-                    )
-                )
+            records = [run_trial(point_cfg, filter_id, t) for t in range(cfg.n_mc)]
             failures = sum(1 for r in records if r.failed)
             rmse, comm_rate, mean_iter = compute_metrics(records)
             rows.append(

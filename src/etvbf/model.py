@@ -7,7 +7,6 @@ schedule, so the filter has to follow noise statistics it was never told.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -44,18 +43,6 @@ class Trajectory:
     initial_state: np.ndarray
     states: np.ndarray  # (steps, n), row k-1 holds x_k
     measurements: np.ndarray  # (steps, m), row k-1 holds z_k
-
-    def to_csv(self, path) -> None:
-        """Debug export: columns k, x1..xn, z1..zm."""
-        n = self.states.shape[1]
-        m = self.measurements.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k"] + [f"x{i+1}" for i in range(n)] + [f"z{i+1}" for i in range(m)]
-            )
-            for k, (x, z) in enumerate(zip(self.states, self.measurements), start=1):
-                writer.writerow([k] + [repr(v) for v in x] + [repr(v) for v in z])
 
 
 def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:

@@ -22,7 +22,6 @@ __all__ = [
     "multivariate_digamma",
     "log_multivariate_gamma",
     "spd_factor",
-    "block_inverse",
 ]
 
 
@@ -31,7 +30,7 @@ class NotPositiveDefinite(Exception):
 
 
 class Singular(Exception):
-    """A pivot block in a block inverse is numerically singular."""
+    """A matrix that must be solved against is numerically singular."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -141,34 +140,3 @@ def spd_factor(m: np.ndarray) -> SpdFactor:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(dim=m.shape[0], lower=lower)
 
-
-def block_inverse(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Invert the block matrix [[A, B], [C, D]].
-
-    Uses the Schur-complement block formula: with E = D - C A^{-1} B,
-
-        [[A, B], [C, D]]^{-1} =
-        [[A^{-1} + A^{-1} B E^{-1} C A^{-1}, -A^{-1} B E^{-1}],
-         [-E^{-1} C A^{-1},                   E^{-1}]]
-
-    Raises Singular when A or E cannot be inverted.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"top-left block is singular: {exc}") from exc
-    schur = d - c @ a_inv @ b
-    try:
-        e_inv = np.linalg.inv(schur)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"Schur complement is singular: {exc}") from exc
-    top_left = a_inv + a_inv @ b @ e_inv @ c @ a_inv
-    top_right = -a_inv @ b @ e_inv
-    bottom_left = -e_inv @ c @ a_inv
-    return np.block([[top_left, top_right], [bottom_left, e_inv]])

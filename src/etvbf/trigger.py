@@ -19,7 +19,11 @@ __all__ = ["TriggerConfig", "TriggerOutcome", "trigger_probability", "sensor_dec
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    """Trigger weighting matrix Y (SPD); larger Y means more transmissions."""
+    """Trigger weighting matrix Y (symmetric PSD); larger Y means more transmissions.
+
+    Y = 0 keeps every measurement back. An indefinite Y would make the
+    silence probability exceed one, so it is rejected here.
+    """
 
     Y: np.ndarray
 
@@ -27,6 +31,11 @@ class TriggerConfig:
         y = np.asarray(self.Y, dtype=float)
         if y.ndim != 2 or y.shape[0] != y.shape[1]:
             raise ValueError("Y must be a square matrix")
+        scale = max(1.0, float(np.abs(y).max()))
+        if float(np.abs(y - y.T).max()) > 1e-8 * scale:
+            raise ValueError("Y must be symmetric")
+        if float(np.linalg.eigvalsh(y).min()) < -1e-12 * scale:
+            raise ValueError("Y must be positive semidefinite")
         object.__setattr__(self, "Y", y)
 
 

@@ -1,6 +1,11 @@
 """Shared test utilities: random SPD matrices and dense reference formulas."""
 
+import math
+
 import numpy as np
+
+from etvbf.distributions import InverseWishart
+from etvbf.numerics import Singular, log_multivariate_gamma, spd_factor
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -23,3 +28,50 @@ def dense_theta(
     penalty = np.zeros((n + m, n + m))
     penalty[n:, n:] = y
     return np.linalg.inv(phi_inv + penalty)
+
+
+def block_inverse(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Invert the block matrix [[A, B], [C, D]].
+
+    Uses the Schur-complement block formula: with E = D - C A^{-1} B,
+
+        [[A, B], [C, D]]^{-1} =
+        [[A^{-1} + A^{-1} B E^{-1} C A^{-1}, -A^{-1} B E^{-1}],
+         [-E^{-1} C A^{-1},                   E^{-1}]]
+
+    Raises Singular when A or E cannot be inverted.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    d = np.atleast_2d(np.asarray(d, dtype=float))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"top-left block is singular: {exc}") from exc
+    schur = d - c @ a_inv @ b
+    try:
+        e_inv = np.linalg.inv(schur)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"Schur complement is singular: {exc}") from exc
+    top_left = a_inv + a_inv @ b @ e_inv @ c @ a_inv
+    top_right = -a_inv @ b @ e_inv
+    bottom_left = -e_inv @ c @ a_inv
+    return np.block([[top_left, top_right], [bottom_left, e_inv]])
+
+
+def iw_log_pdf(iw: InverseWishart, p: np.ndarray) -> float:
+    """Log density of the inverse-Wishart distribution at an SPD matrix p."""
+    n, g = iw.dim, iw.dof
+    scale_factor = spd_factor(iw.scale)
+    p_factor = spd_factor(np.asarray(p, dtype=float))
+    trace_term = float(np.trace(p_factor.solve(iw.scale)))
+    return (
+        0.5 * g * scale_factor.log_det()
+        - 0.5 * (g + n + 1) * p_factor.log_det()
+        - 0.5 * trace_term
+        - 0.5 * g * n * math.log(2.0)
+        - log_multivariate_gamma(n, 0.5 * g)
+    )

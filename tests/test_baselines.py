@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from etvbf.baselines import KfState, clset_kf_step, kf_oracle_step, vbf_step
+from etvbf.baselines import KfState, clset_kf_step, kf_oracle_step
 from etvbf.distributions import SeededRng
-from etvbf.filter import etvbf_step, initial_state
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
 from etvbf.trigger import TriggerOutcome
-from test_filter import make_config
+from helpers import dense_theta, random_spd
 
 
 class TestOracleKalman:
@@ -87,6 +86,28 @@ class TestClsetKf:
         )
         assert out.P[0, 0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_silent_matches_dense_joint_inverse(self):
+        # Every third instance uses a rank-one Y, which has no inverse.
+        rng = np.random.default_rng(11)
+        for case in range(60):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, n + 1))
+            h = rng.standard_normal((m, n))
+            f = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            state = KfState(x_hat=rng.standard_normal(n), P=random_spd(rng, n))
+            q_bar = random_spd(rng, n, scale=float(rng.uniform(0.1, 2.0)))
+            r_bar = random_spd(rng, m, scale=float(rng.uniform(0.1, 10.0)))
+            if case % 3 == 0:
+                v = rng.standard_normal(m)
+                y = np.outer(v, v)
+            else:
+                y = random_spd(rng, m, scale=float(rng.uniform(1e-3, 1.0)))
+            out = clset_kf_step(state, f, h, q_bar, r_bar, y, TriggerOutcome(gamma=0))
+            p_pred = f @ state.P @ f.T + q_bar
+            expected = dense_theta(p_pred, r_bar, h, y)[:n, :n]
+            assert np.allclose(out.P, expected, rtol=1e-9, atol=1e-9)
+            assert np.array_equal(out.x_hat, f @ state.x_hat)
+
     def test_covariance_stays_spd_over_trial(self):
         model = build_cv_scenario(1.0, 500)
         x0, p0, steps = scenario_defaults()
@@ -103,20 +124,3 @@ class TestClsetKf:
             state = clset_kf_step(state, model.F(k), model.H(k), q_bar, r_bar, y, outcome)
             spd_factor(state.P)
 
-
-class TestVbf:
-    def test_equals_forced_transmission_filter(self):
-        cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0))
-        model = build_cv_scenario(1.0, 500)
-        x0, p0, _ = scenario_defaults()
-        traj = simulate_truth(model, x0, 10, SeededRng(7))
-        a = initial_state(x0, p0, cfg)
-        b = initial_state(x0, p0, cfg)
-        for k in range(1, 11):
-            z = traj.measurements[k - 1]
-            a, _ = vbf_step(a, model.F(k), model.H(k), z, cfg)
-            b, _ = etvbf_step(
-                b, model.F(k), model.H(k), TriggerOutcome(gamma=1, measurement=z), cfg
-            )
-            assert np.array_equal(a.x_hat, b.x_hat)
-            assert np.array_equal(a.P, b.P)

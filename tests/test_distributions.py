@@ -10,15 +10,13 @@ from etvbf.distributions import (
     InverseWishart,
     SeededRng,
     dirichlet_expected_log,
-    dirichlet_mean,
     iw_expected_logdet,
-    iw_log_pdf,
     iw_mean_of_inverse,
     normalize_log_weights,
     sample_gaussian,
     sample_uniform,
 )
-from helpers import random_spd
+from helpers import iw_log_pdf, random_spd
 
 
 class TestInverseWishartMoments:
@@ -115,18 +113,6 @@ class TestDirichlet:
             out = dirichlet_expected_log(Dirichlet(np.array([a, *others])))
             values.append(out[0])
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_mean_uniform(self):
-        mean = dirichlet_mean(Dirichlet(np.ones(5)))
-        assert np.allclose(mean.probabilities, 0.2)
-
-    def test_mean_arithmetic(self):
-        mean = dirichlet_mean(Dirichlet(np.array([3.0, 1.0])))
-        assert np.allclose(mean.probabilities, [0.75, 0.25])
-
-    def test_mean_single_category(self):
-        mean = dirichlet_mean(Dirichlet(np.array([4.2])))
-        assert np.allclose(mean.probabilities, [1.0])
 
     def test_positive_concentration_required(self):
         with pytest.raises(ValueError):

@@ -127,14 +127,6 @@ class TestRunSweep:
             (300.0, "oracle-kf"),
         ]
 
-    def test_worker_count_does_not_change_rows(self):
-        base = dict(
-            n_mc=4, n_step=10, sweep_param="y", sweep_grid=(0.005,), filters=("etvbf",)
-        )
-        rows1 = run_sweep(ExperimentConfig(workers=1, **base))
-        rows4 = run_sweep(ExperimentConfig(workers=4, **base))
-        assert rows1 == rows4
-
 
 class TestEmitOutputs:
     def _rows_and_cfg(self):

@@ -110,13 +110,3 @@ class TestSimulateTruth:
         sample_cov = np.cov(residuals.T)
         true_q = model.trueQ(1)
         assert np.linalg.norm(sample_cov - true_q) < 0.10 * np.linalg.norm(true_q)
-
-    def test_csv_export(self, tmp_path):
-        model = build_cv_scenario(1.0, 500)
-        x0, _, _ = scenario_defaults()
-        traj = simulate_truth(model, x0, 5, SeededRng(1))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,x1,x2,x3,x4,z1,z2"
-        assert len(lines) == 6

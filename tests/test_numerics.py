@@ -7,13 +7,12 @@ import scipy.special
 from etvbf.numerics import (
     NotPositiveDefinite,
     Singular,
-    block_inverse,
     digamma,
     log_multivariate_gamma,
     multivariate_digamma,
     spd_factor,
 )
-from helpers import random_spd
+from helpers import block_inverse, random_spd
 
 EULER_MASCHERONI = 0.5772156649015329
 

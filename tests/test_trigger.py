@@ -95,3 +95,18 @@ class TestTriggerOutcome:
             TriggerOutcome(gamma=1, measurement=None)
         with pytest.raises(ValueError):
             TriggerOutcome(gamma=0, measurement=np.zeros(2))
+
+
+class TestTriggerConfig:
+    def test_rejects_indefinite_and_asymmetric_y(self):
+        with pytest.raises(ValueError, match="semidefinite"):
+            TriggerConfig(Y=-0.015 * np.eye(2))
+        with pytest.raises(ValueError, match="semidefinite"):
+            TriggerConfig(Y=np.diag([1.0, -1e-3]))
+        with pytest.raises(ValueError, match="symmetric"):
+            TriggerConfig(Y=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_accepts_singular_psd_y(self):
+        v = np.array([1.0, 2.0])
+        assert TriggerConfig(Y=np.zeros((2, 2))).Y.shape == (2, 2)
+        assert np.array_equal(TriggerConfig(Y=np.outer(v, v)).Y, np.outer(v, v))
