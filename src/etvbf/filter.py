@@ -19,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    CategoricalWeights,
-    Dirichlet,
-    InverseWishart,
     dirichlet_expected_log,
     iw_expected_logdet,
     iw_mean_of_inverse,
@@ -74,8 +71,16 @@ class FilterConfig:
         object.__setattr__(self, "alpha0", np.asarray(self.alpha0, dtype=float))
         if len(self.nominal_q) < 1:
             raise ValueError("need at least one nominal process noise covariance")
-        if self.dof_g.shape != (len(self.nominal_q),) or np.any(self.dof_g <= 0):
-            raise ValueError("dof_g must hold one positive dof per nominal covariance")
+        n = self.nominal_q[0].shape[0]
+        if self.dof_g.shape != (len(self.nominal_q),) or np.any(self.dof_g <= n - 1):
+            raise ValueError("dof_g must hold one dof above n - 1 per nominal covariance")
+        r0 = self.r0
+        if r0.shape != self.trigger.Y.shape or not np.allclose(r0, r0.T):
+            raise ValueError("r0 must be a symmetric matrix shaped like the trigger's Y")
+        if not np.linalg.eigvalsh(r0)[0] > 0.0:
+            raise ValueError("r0 must be positive definite")
+        if not self.s0 > 0.0:
+            raise ValueError("s0 must be positive")
         if self.alpha0.shape != (len(self.nominal_q),) or np.any(self.alpha0 <= 0):
             raise ValueError("alpha0 must hold one positive value per nominal covariance")
         if not 0.0 < self.rho <= 1.0:
@@ -84,10 +89,6 @@ class FilterConfig:
             raise ValueError("tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-    @property
-    def mixture_size(self) -> int:
-        return len(self.nominal_q)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class IterationState:
     G: np.ndarray
     s: float
     S: np.ndarray
-    chi: CategoricalWeights
+    chi: np.ndarray  # mixture weights over the nominal bank, summing to one
     alpha: np.ndarray
     p_tilde: np.ndarray  # G / g, the working predicted covariance
     r_tilde: np.ndarray  # S / s, the working measurement covariance
@@ -139,7 +140,7 @@ class StepDiagnostics:
     iterations: int
     p_tilde: np.ndarray
     r_tilde: np.ndarray
-    chi: CategoricalWeights
+    chi: np.ndarray
 
 
 def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> FilterState:
@@ -159,17 +160,11 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> Prediction:
     fpf = symmetrize(F @ prev.P @ F.T)
     p_j = tuple(fpf + q for q in cfg.nominal_q)
     g_j = tuple(g * p for g, p in zip(cfg.dof_g, p_j))
-    if len(g_j) > 1:
-        logdet_g = np.array([spd_factor(g).log_det() for g in g_j])
-    else:
-        # A single component always gets full weight, so its log-determinant
-        # never enters the reweighting and need not be computed.
-        logdet_g = np.zeros(1)
     return Prediction(
         x_pred=x_pred,
         P_j=p_j,
         G_j=g_j,
-        logdet_G_j=logdet_g,
+        logdet_G_j=np.array([spd_factor(g).log_det() for g in g_j]),
         s_prior=cfg.rho * prev.s,
         S_prior=cfg.rho * prev.S,
         alpha_prior=cfg.rho * prev.alpha,
@@ -188,7 +183,7 @@ def init_iteration(pred: Prediction, cfg: FilterConfig) -> IterationState:
         G=big_g0,
         s=pred.s_prior,
         S=pred.S_prior.copy(),
-        chi=CategoricalWeights(chi0),
+        chi=chi0,
         alpha=pred.alpha_prior.copy(),
         p_tilde=big_g0 / g0,
         r_tilde=pred.S_prior / pred.s_prior,
@@ -256,9 +251,8 @@ def update_predicted_cov(
     """Refresh the inverse-Wishart posterior over the predicted covariance."""
     shift = it.x - x_pred
     a_mat = it.P + np.outer(shift, shift)
-    chi = it.chi.probabilities
-    it.g = float(chi @ cfg.dof_g) + 1.0
-    it.G = symmetrize(sum(c * g for c, g in zip(chi, pred.G_j)) + a_mat)
+    it.g = float(it.chi @ cfg.dof_g) + 1.0
+    it.G = symmetrize(sum(c * g for c, g in zip(it.chi, pred.G_j)) + a_mat)
     it.p_tilde = it.G / it.g
 
 
@@ -282,16 +276,15 @@ def update_meas_cov(
 
 
 def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
-    """Reweight the nominal covariance bank and refresh the Dirichlet posterior."""
-    if cfg.mixture_size == 1:
-        # Normalizing a single weight always yields 1, whatever its value.
-        it.chi = CategoricalWeights(np.ones(1))
-        it.alpha = pred.alpha_prior + 1.0
-        return
+    """Reweight the nominal covariance bank and refresh the Dirichlet posterior.
+
+    Both inverse-Wishart moments of the posterior IW(g, G) come from one
+    Cholesky factor of G.
+    """
     n = it.P.shape[0]
-    posterior = InverseWishart(dim=n, dof=it.g, scale=it.G)
-    e_p_inv = iw_mean_of_inverse(posterior)
-    e_logdet_p = iw_expected_logdet(posterior)
+    g_factor = spd_factor(it.G)
+    e_p_inv = iw_mean_of_inverse(it.g, g_factor)
+    e_logdet_p = iw_expected_logdet(it.g, g_factor)
     log_w = np.array(
         [
             0.5 * g_j * logdet_gj
@@ -302,9 +295,9 @@ def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> N
             for g_j, big_gj, logdet_gj in zip(cfg.dof_g, pred.G_j, pred.logdet_G_j)
         ]
     )
-    log_w += dirichlet_expected_log(Dirichlet(it.alpha))
+    log_w += dirichlet_expected_log(it.alpha)
     it.chi = normalize_log_weights(log_w)
-    it.alpha = pred.alpha_prior + it.chi.probabilities
+    it.alpha = pred.alpha_prior + it.chi
 
 
 def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float) -> bool:

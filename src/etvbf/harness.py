@@ -89,6 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
         if any(v <= 0 for v in self.sweep_grid):
             raise ValueError("sweep grid values must be positive")
+        build_filter_config(self)  # raises ValueError on out-of-domain tuning
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -141,7 +142,6 @@ class SweepRow:
     filter: str
     rmse: float
     comm_rate: float
-    comm_rate_sqrt: float  # square root of the mean, reported alongside
     mean_iterations: float
     failures: int
 
@@ -303,7 +303,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                     filter=filter_id,
                     rmse=rmse,
                     comm_rate=comm_rate,
-                    comm_rate_sqrt=math.sqrt(comm_rate) if comm_rate == comm_rate else math.nan,
                     mean_iterations=mean_iter,
                     failures=failures,
                 )
@@ -330,7 +329,9 @@ def emit_outputs(rows: list[SweepRow], path_prefix: str, cfg: ExperimentConfig) 
     # Plot-data files: one block per filter, rows sorted by sweep value.
     metrics = {
         "rmse": lambda r: f"{r.sweep_value:.12g} {r.rmse:.12g}",
-        "comm_rate": lambda r: f"{r.sweep_value:.12g} {r.comm_rate:.12g} {r.comm_rate_sqrt:.12g}",
+        "comm_rate": lambda r: (
+            f"{r.sweep_value:.12g} {r.comm_rate:.12g} {math.sqrt(r.comm_rate):.12g}"
+        ),
         "iterations": lambda r: f"{r.sweep_value:.12g} {r.mean_iterations:.12g}",
     }
     filter_order = list(dict.fromkeys(r.filter for r in rows))

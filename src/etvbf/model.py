@@ -40,7 +40,6 @@ class ModelSpec:
 class Trajectory:
     """Jointly simulated ground truth and measurements for one trial."""
 
-    initial_state: np.ndarray
     states: np.ndarray  # (steps, n), row k-1 holds x_k
     measurements: np.ndarray  # (steps, m), row k-1 holds z_k
 
@@ -97,11 +96,7 @@ def simulate_truth(
         z = model.H(k) @ x + sample_gaussian(rng, np.zeros(model.m), model.trueR(k))
         states[k - 1] = x
         measurements[k - 1] = z
-    return Trajectory(
-        initial_state=np.asarray(x0, dtype=float),
-        states=states,
-        measurements=measurements,
-    )
+    return Trajectory(states=states, measurements=measurements)
 
 
 def scenario_defaults() -> tuple[np.ndarray, np.ndarray, int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SeededRng, sample_uniform
+from .distributions import SeededRng
 
 __all__ = ["TriggerConfig", "TriggerOutcome", "trigger_probability", "sensor_decide"]
 
@@ -65,7 +65,7 @@ def sensor_decide(
     """Draw zeta ~ U[0,1] and withhold the measurement when zeta <= exp(-0.5 e^T Y e)."""
     z = np.asarray(z, dtype=float)
     phi = trigger_probability(z - np.asarray(z_pred, dtype=float), cfg)
-    zeta = sample_uniform(rng)
+    zeta = rng.uniform()
     if zeta <= phi:
         return TriggerOutcome(gamma=0)
     return TriggerOutcome(gamma=1, measurement=z)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from etvbf.distributions import InverseWishart
 from etvbf.numerics import Singular, log_multivariate_gamma, spd_factor
 
 
@@ -62,12 +61,12 @@ def block_inverse(
     return np.block([[top_left, top_right], [bottom_left, e_inv]])
 
 
-def iw_log_pdf(iw: InverseWishart, p: np.ndarray) -> float:
-    """Log density of the inverse-Wishart distribution at an SPD matrix p."""
-    n, g = iw.dim, iw.dof
-    scale_factor = spd_factor(iw.scale)
+def iw_log_pdf(dof: float, scale: np.ndarray, p: np.ndarray) -> float:
+    """Log density of IW(dof, scale) at an SPD matrix p."""
+    n, g = scale.shape[0], dof
+    scale_factor = spd_factor(scale)
     p_factor = spd_factor(np.asarray(p, dtype=float))
-    trace_term = float(np.trace(p_factor.solve(iw.scale)))
+    trace_term = float(np.trace(p_factor.solve(scale)))
     return (
         0.5 * g * scale_factor.log_det()
         - 0.5 * (g + n + 1) * p_factor.log_det()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,12 @@ def scalar_config(**kwargs):
     return make_config(n=1, m=1, **kwargs)
 
 
+class TestFilterConfig:
+    def test_rejects_asymmetric_r0(self):
+        with pytest.raises(ValueError, match="r0"):
+            dataclasses.replace(make_config(), r0=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
 class TestPredict:
     def test_covariance_bank(self):
         cfg = make_config(q_scales=(1.0, 2.0, 3.0))
@@ -94,7 +101,7 @@ class TestInitIteration:
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
         assert it.g == pytest.approx(10.0)
-        assert np.allclose(it.chi.probabilities, 0.2)
+        assert np.allclose(it.chi, 0.2)
         assert np.allclose(it.x, pred.x_pred)
 
     def test_single_component(self):
@@ -104,7 +111,7 @@ class TestInitIteration:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        assert np.allclose(it.chi.probabilities, [1.0])
+        assert np.allclose(it.chi, [1.0])
         assert np.allclose(it.p_tilde, pred.P_j[0])
 
     def test_equal_bank_convexity(self):
@@ -224,7 +231,7 @@ class TestPredictedCovarianceUpdate:
         it = init_iteration(pred, cfg)
         update_state_meas(it, pred.x_pred, np.array([2.0, 0.0]), np.eye(2))
         update_predicted_cov(it, pred.x_pred, cfg, pred)
-        chi = it.chi.probabilities
+        chi = it.chi
         shift = it.x - pred.x_pred
         a_mat = it.P + np.outer(shift, shift)
         numerator = sum(
@@ -286,7 +293,7 @@ class TestMixtureUpdate:
         update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
         update_predicted_cov(it, pred.x_pred, cfg, pred)
         update_mixture(it, pred, cfg)
-        assert np.allclose(it.chi.probabilities, [1.0])
+        assert np.allclose(it.chi, [1.0])
         assert np.allclose(it.alpha, pred.alpha_prior + 1.0)
 
     def test_identical_components_stay_uniform(self):
@@ -299,7 +306,7 @@ class TestMixtureUpdate:
         update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
         update_predicted_cov(it, pred.x_pred, cfg, pred)
         update_mixture(it, pred, cfg)
-        assert np.allclose(it.chi.probabilities, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
 
     def test_two_component_scalar_against_direct_formula(self):
         cfg = scalar_config(q_scales=(0.5, 4.0), dof=6.0)
@@ -336,7 +343,50 @@ class TestMixtureUpdate:
         )
         expected = np.exp(log_w - log_w.max())
         expected /= expected.sum()
-        assert np.allclose(it.chi.probabilities, expected, atol=1e-10)
+        assert np.allclose(it.chi, expected, atol=1e-10)
+        assert np.allclose(it.alpha, pred.alpha_prior + expected, atol=1e-10)
+
+    def test_four_dim_three_components_against_direct_formula(self):
+        # At n = 1 the n log 2, psi_n and (n + 1) terms are trivial; n = 4 with
+        # distinct dofs exercises every dimension-dependent term.
+        rng = np.random.default_rng(11)
+        n = 4
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        state = FilterState(
+            x_hat=rng.standard_normal(n), P=random_spd(rng, n), s=5.0, S=5.0 * np.eye(2),
+            alpha=np.array([0.7, 1.5, 3.0]),
+        )
+        f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        h_mat = rng.standard_normal((2, n))
+        pred = predict(state, f_mat, cfg)
+        it = init_iteration(pred, cfg)
+        update_state_meas(it, pred.x_pred, h_mat @ pred.x_pred + np.array([3.0, -2.0]), h_mat)
+        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        alpha_before = it.alpha.copy()
+        update_mixture(it, pred, cfg)
+
+        # Dense reference: explicit inverse, slogdet and scipy special functions.
+        e_p_inv = it.g * np.linalg.inv(it.G)
+        e_logdet = (
+            np.linalg.slogdet(it.G)[1]
+            - n * math.log(2.0)
+            - sum(scipy.special.digamma(0.5 * (it.g + 1 - i)) for i in range(1, n + 1))
+        )
+        log_w = np.array(
+            [
+                0.5 * g_j * np.linalg.slogdet(big_g)[1]
+                - 0.5 * np.trace(big_g @ e_p_inv)
+                - 0.5 * (g_j + n + 1) * e_logdet
+                - 0.5 * n * g_j * math.log(2.0)
+                - scipy.special.multigammaln(0.5 * g_j, n)
+                for g_j, big_g in zip(cfg.dof_g, pred.G_j)
+            ]
+        )
+        log_w += scipy.special.digamma(alpha_before) - scipy.special.digamma(alpha_before.sum())
+        expected = np.exp(log_w - log_w.max())
+        expected /= expected.sum()
+        assert expected.min() > 0.01  # no component is negligible, so each term shows
+        assert np.allclose(it.chi, expected, atol=1e-10)
         assert np.allclose(it.alpha, pred.alpha_prior + expected, atol=1e-10)
 
 
@@ -410,7 +460,7 @@ class TestStepOrchestration:
             outcome = TriggerOutcome(gamma=1, measurement=traj.measurements[k - 1])
             state, diag = etvbf_step(state, model.F(k), model.H(k), outcome, cfg)
             assert diag.iterations <= cfg.max_iterations
-            chi = diag.chi.probabilities
+            chi = diag.chi
             assert abs(chi.sum() - 1.0) <= 1e-12
             assert np.all(chi >= 0) and np.all(chi <= 1)
             # SPD persistence of the recursive quantities

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from etvbf.harness import (
 )
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
+GOLDEN_SINGLE_CSV = pathlib.Path(__file__).parent / "data" / "sweep_golden_single.csv"
 
 
 class TestRunTrial:
@@ -127,6 +129,19 @@ class TestRunSweep:
             (300.0, "oracle-kf"),
         ]
 
+    def test_single_component_bank_matches_golden(self, tmp_path):
+        """A one-component bank runs the general mixture path; its CSV is pinned."""
+        cfg = ExperimentConfig(
+            nominal_q_scales=(4.0,),
+            n_mc=4,
+            n_step=25,
+            sweep_param="y",
+            sweep_grid=(0.015,),
+            filters=("etvbf",),
+        )
+        emit_outputs(run_sweep(cfg), str(tmp_path / "single"), cfg)
+        assert (tmp_path / "single.csv").read_bytes() == GOLDEN_SINGLE_CSV.read_bytes()
+
 
 class TestEmitOutputs:
     def _rows_and_cfg(self):
@@ -177,6 +192,22 @@ class TestConfig:
             ExperimentConfig(sweep_param="q")
         with pytest.raises(ValueError):
             ExperimentConfig(sweep_param="y", sweep_grid=(0.0,))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dof_g": 2.0},
+            {"dof_g": 3.0},
+            {"s0": -1.0},
+            {"s0": 0.0},
+            {"r_scale": -150.0},
+            {"r_scale": 0.0},
+            {"y_scale": -0.015},
+        ],
+    )
+    def test_out_of_domain_tuning_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
     def test_roundtrip_through_dict(self):
         cfg = ExperimentConfig(**TINY)
