@@ -51,7 +51,7 @@ def iw_mean_of_inverse(dof: float, scale: SpdFactor) -> np.ndarray:
 
 def iw_expected_logdet(dof: float, scale: SpdFactor) -> float:
     """E{log |P|} = log|G| - n log 2 - psi_n(g/2) for P ~ IW(g, G), given the factor of G."""
-    n = scale.dim
+    n = scale.lower.shape[-1]
     return scale.log_det() - n * math.log(2.0) - multivariate_digamma(n, 0.5 * dof)
 
 

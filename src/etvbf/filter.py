@@ -24,7 +24,7 @@ from .distributions import (
     iw_mean_of_inverse,
     normalize_log_weights,
 )
-from .numerics import Singular, log_multivariate_gamma, spd_factor, symmetrize
+from .numerics import Singular, log_multivariate_gamma, require_spd, spd_factor, symmetrize
 from .trigger import TriggerConfig, TriggerOutcome
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 class FilterConfig:
     """Tuning parameters: nominal covariance bank, prior dofs, and loop control."""
 
-    nominal_q: tuple[np.ndarray, ...]  # M nominal process noise covariances
+    nominal_q: np.ndarray  # (M, n, n) nominal process noise covariances
     dof_g: np.ndarray  # M inverse-Wishart dofs for the predicted covariance
     r0: np.ndarray  # nominal measurement noise covariance
     s0: float  # initial measurement-noise dof
@@ -63,25 +63,18 @@ class FilterConfig:
     tol: float = 1e-6  # relative state-change threshold ending the sweep loop
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "nominal_q", tuple(np.asarray(q, dtype=float) for q in self.nominal_q)
-        )
+        object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
         object.__setattr__(self, "dof_g", np.asarray(self.dof_g, dtype=float))
-        object.__setattr__(self, "r0", np.asarray(self.r0, dtype=float))
+        object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
         object.__setattr__(self, "alpha0", np.asarray(self.alpha0, dtype=float))
-        if len(self.nominal_q) < 1:
-            raise ValueError("need at least one nominal process noise covariance")
-        n = self.nominal_q[0].shape[0]
-        if self.dof_g.shape != (len(self.nominal_q),) or np.any(self.dof_g <= n - 1):
+        m_size, n = self.nominal_q.shape[:2]
+        if self.dof_g.shape != (m_size,) or np.any(self.dof_g <= n - 1):
             raise ValueError("dof_g must hold one dof above n - 1 per nominal covariance")
-        r0 = self.r0
-        if r0.shape != self.trigger.Y.shape or not np.allclose(r0, r0.T):
-            raise ValueError("r0 must be a symmetric matrix shaped like the trigger's Y")
-        if not np.linalg.eigvalsh(r0)[0] > 0.0:
-            raise ValueError("r0 must be positive definite")
+        if self.r0.shape != self.trigger.Y.shape:
+            raise ValueError("r0 must be shaped like the trigger's Y")
         if not self.s0 > 0.0:
             raise ValueError("s0 must be positive")
-        if self.alpha0.shape != (len(self.nominal_q),) or np.any(self.alpha0 <= 0):
+        if self.alpha0.shape != (m_size,) or np.any(self.alpha0 <= 0):
             raise ValueError("alpha0 must hold one positive value per nominal covariance")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
@@ -107,9 +100,8 @@ class Prediction:
     """Per-step priors: predicted state, covariance bank, forgotten dofs."""
 
     x_pred: np.ndarray
-    P_j: tuple[np.ndarray, ...]  # M predicted covariances F P F^T + Qbar_j
-    G_j: tuple[np.ndarray, ...]  # scale matrices g_j * P_j
-    logdet_G_j: np.ndarray  # cached log|G_j|, reused every sweep
+    G_j: np.ndarray  # (M, n, n) IW scales g_j (F P F^T + Qbar_j)
+    log_norm_j: np.ndarray  # g_j log|G_j|/2 - n g_j log2/2 - log Gamma_n(g_j/2)
     s_prior: float
     S_prior: np.ndarray
     alpha_prior: np.ndarray
@@ -156,15 +148,15 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
 
 def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> Prediction:
     """Propagate the state, build the covariance bank, and forget old dofs."""
-    x_pred = F @ prev.x_hat
-    fpf = symmetrize(F @ prev.P @ F.T)
-    p_j = tuple(fpf + q for q in cfg.nominal_q)
-    g_j = tuple(g * p for g, p in zip(cfg.dof_g, p_j))
+    n = F.shape[0]
+    g_j = cfg.dof_g[:, None, None] * (symmetrize(F @ prev.P @ F.T) + cfg.nominal_q)
+    log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
     return Prediction(
-        x_pred=x_pred,
-        P_j=p_j,
+        x_pred=F @ prev.x_hat,
         G_j=g_j,
-        logdet_G_j=np.array([spd_factor(g).log_det() for g in g_j]),
+        log_norm_j=0.5 * cfg.dof_g * spd_factor(g_j).log_det()
+        - 0.5 * n * cfg.dof_g * math.log(2.0)
+        - log_gamma_j,
         s_prior=cfg.rho * prev.s,
         S_prior=cfg.rho * prev.S,
         alpha_prior=cfg.rho * prev.alpha,
@@ -175,7 +167,7 @@ def init_iteration(pred: Prediction, cfg: FilterConfig) -> IterationState:
     """Sweep-zero initialization from the priors."""
     chi0 = pred.alpha_prior / pred.alpha_prior.sum()
     g0 = float(chi0 @ cfg.dof_g)
-    big_g0 = sum(c * g for c, g in zip(chi0, pred.G_j))
+    big_g0 = (chi0[:, None, None] * pred.G_j).sum(axis=0)
     return IterationState(
         x=pred.x_pred.copy(),
         P=big_g0 / g0,
@@ -195,10 +187,9 @@ def kalman_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmission branch: standard gain update of (x_pred, p_pred) with z ~ N(Hx, R)."""
     ph_t = p_pred @ H.T
-    innovation_cov = spd_factor(symmetrize(H @ ph_t) + R)
-    gain = innovation_cov.solve(ph_t.T).T
-    x_hat = x_pred + gain @ (z - H @ x_pred)
-    p_hat = symmetrize(p_pred - ph_t @ innovation_cov.solve(ph_t.T))
+    gain_t = spd_factor(symmetrize(H @ ph_t) + R).solve(ph_t.T)
+    x_hat = x_pred + gain_t.T @ (z - H @ x_pred)
+    p_hat = symmetrize(p_pred - ph_t @ gain_t)
     return x_hat, p_hat
 
 
@@ -252,7 +243,7 @@ def update_predicted_cov(
     shift = it.x - x_pred
     a_mat = it.P + np.outer(shift, shift)
     it.g = float(it.chi @ cfg.dof_g) + 1.0
-    it.G = symmetrize(sum(c * g for c, g in zip(it.chi, pred.G_j)) + a_mat)
+    it.G = symmetrize((it.chi[:, None, None] * pred.G_j).sum(axis=0) + a_mat)
     it.p_tilde = it.G / it.g
 
 
@@ -281,19 +272,15 @@ def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> N
     Both inverse-Wishart moments of the posterior IW(g, G) come from one
     Cholesky factor of G.
     """
-    n = it.P.shape[0]
     g_factor = spd_factor(it.G)
     e_p_inv = iw_mean_of_inverse(it.g, g_factor)
     e_logdet_p = iw_expected_logdet(it.g, g_factor)
-    log_w = np.array(
-        [
-            0.5 * g_j * logdet_gj
-            - 0.5 * float(np.sum(big_gj * e_p_inv))
-            - 0.5 * (g_j + n + 1.0) * e_logdet_p
-            - 0.5 * n * g_j * math.log(2.0)
-            - log_multivariate_gamma(n, 0.5 * g_j)
-            for g_j, big_gj, logdet_gj in zip(cfg.dof_g, pred.G_j, pred.logdet_G_j)
-        ]
+    # The -(n + 1) E{log|P|} / 2 of each IW log density is common to all
+    # components and cancels in the normalisation, so it is left out.
+    log_w = (
+        pred.log_norm_j
+        - 0.5 * np.sum(pred.G_j * e_p_inv, axis=(1, 2))
+        - 0.5 * cfg.dof_g * e_logdet_p
     )
     log_w += dirichlet_expected_log(it.alpha)
     it.chi = normalize_log_weights(log_w)

@@ -150,7 +150,7 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     """Adaptive filter configuration derived from the experiment settings."""
     m_size = len(cfg.nominal_q_scales)
     return FilterConfig(
-        nominal_q=tuple(s * np.eye(4) for s in cfg.nominal_q_scales),
+        nominal_q=np.multiply.outer(cfg.nominal_q_scales, np.eye(4)),
         dof_g=np.full(m_size, cfg.dof_g),
         r0=cfg.r_scale * np.eye(2),
         s0=cfg.s0,

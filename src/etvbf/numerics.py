@@ -1,9 +1,9 @@
 """Dense SPD linear algebra and special functions for covariance updates.
 
 All matrices handled here are small (dimension <= 6 in practice), so every
-routine works on plain dense ndarrays. Positive definiteness failures are
-never masked with jitter: they signal a real breakdown of the filter
-iteration and must propagate.
+routine works on plain dense ndarrays, the SPD ones also on (M, n, n) stacks.
+Positive definiteness failures are never masked with jitter: they signal a
+real breakdown of the filter iteration and must propagate.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "NotPositiveDefinite",
     "Singular",
     "SpdFactor",
+    "require_spd",
     "symmetrize",
     "digamma",
     "multivariate_digamma",
@@ -34,8 +35,35 @@ class Singular(Exception):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average away roundoff-level asymmetry: (M + M^T)/2."""
-    return 0.5 * (m + m.T)
+    """Average away roundoff-level asymmetry: (M + M^T)/2, per matrix of a stack."""
+    return 0.5 * (m + m.mT)
+
+
+def _symmetric_scale(m: np.ndarray, name: str) -> np.ndarray:
+    """Each matrix's largest entry (at least 1), once m is finite and symmetric to 1e-8 of it."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    if (np.abs(m - m.mT).max(axis=(-2, -1)) > 1e-8 * scale).any():
+        raise ValueError(f"{name} must be symmetric")
+    return scale
+
+
+def require_spd(m, name: str, ndim: int = 2, semidefinite: bool = False) -> np.ndarray:
+    """The one SPD check of config matrices: m as floats, or ValueError naming it.
+
+    Semidefinite lets eigenvalues dip to -1e-12 of each matrix's scale.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != ndim or m.size == 0:
+        raise ValueError(f"{name} must be a nonempty array of {ndim} axes, got {m.shape}")
+    scale = _symmetric_scale(m, name)
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    if not np.all(low >= -1e-12 * scale if semidefinite else low > 0.0):
+        raise ValueError(f"{name} must be positive {'semi' if semidefinite else ''}definite")
+    return m
 
 
 # Asymptotic series coefficients for psi(x): the x^{-2k} terms are
@@ -98,45 +126,37 @@ def log_multivariate_gamma(n: int, a: float) -> float:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower Cholesky factor of an SPD matrix with derived queries."""
+    """Lower Cholesky factor of an SPD matrix, or a stack of them, with derived queries."""
 
-    dim: int
     lower: np.ndarray
 
-    def log_det(self) -> float:
-        """log determinant of the factored matrix."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+    def log_det(self) -> float | np.ndarray:
+        """log determinant of the factored matrix; one per matrix of a stack."""
+        return 2.0 * np.sum(np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)), axis=-1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs for the factored matrix M."""
         y = np.linalg.solve(self.lower, rhs)
-        return np.linalg.solve(self.lower.T, y)
+        return np.linalg.solve(self.lower.mT, y)
 
     def inverse(self) -> np.ndarray:
         """Explicit SPD inverse of the factored matrix."""
-        return symmetrize(self.solve(np.eye(self.dim)))
+        return symmetrize(self.solve(np.eye(self.lower.shape[-1])))
 
 
 def spd_factor(m: np.ndarray) -> SpdFactor:
-    """Cholesky-factor a symmetric positive definite matrix.
+    """Cholesky-factor a symmetric positive definite matrix, or a stack of them.
 
     The input is symmetrized before factorization; asymmetry beyond
-    roundoff level is rejected. Raises NotPositiveDefinite when the
-    matrix has a nonpositive pivot, which for the filter iterates means
-    a numerical-stability violation.
+    roundoff level is rejected as require_spd does. Raises
+    NotPositiveDefinite when any matrix has a nonpositive pivot, which for
+    the filter iterates means a numerical-stability violation.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    sym = symmetrize(m)
+    _symmetric_scale(m, "matrix")
     try:
-        lower = np.linalg.cholesky(sym)
+        lower = np.linalg.cholesky(symmetrize(m))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    return SpdFactor(dim=m.shape[0], lower=lower)
+    return SpdFactor(lower=lower)
 

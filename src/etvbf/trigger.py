@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SeededRng
+from .numerics import require_spd
 
 __all__ = ["TriggerConfig", "TriggerOutcome", "trigger_probability", "sensor_decide"]
 
@@ -28,15 +29,7 @@ class TriggerConfig:
     Y: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.Y, dtype=float)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError("Y must be a square matrix")
-        scale = max(1.0, float(np.abs(y).max()))
-        if float(np.abs(y - y.T).max()) > 1e-8 * scale:
-            raise ValueError("Y must be symmetric")
-        if float(np.linalg.eigvalsh(y).min()) < -1e-12 * scale:
-            raise ValueError("Y must be positive semidefinite")
-        object.__setattr__(self, "Y", y)
+        object.__setattr__(self, "Y", require_spd(self.Y, "Y", semidefinite=True))
 
 
 @dataclass(frozen=True)

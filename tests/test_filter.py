@@ -59,6 +59,25 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="r0"):
             dataclasses.replace(make_config(), r0=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "nominal_q,match",
+        [
+            ((np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])), "nominal_q must be symmetric"),
+            ((np.eye(2), np.diag([1.0, -1e-3])), "nominal_q must be positive definite"),
+            (np.eye(2), "nominal_q must be a nonempty array of 3 axes"),
+            ((np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)), "dof_g"),  # three Q, two dofs
+        ],
+        ids=["asymmetric", "indefinite", "two-dim", "length-mismatch"],
+    )
+    def test_rejects_bad_nominal_q_at_construction(self, nominal_q, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(make_config(), nominal_q=nominal_q)
+
+    def test_accepts_tuple_of_matrices_as_stack(self):
+        cfg = make_config(q_scales=(1.0, 2.0))
+        assert cfg.nominal_q.shape == (2, 2, 2)
+        assert np.array_equal(cfg.nominal_q[1], 2.0 * np.eye(2))
+
 
 class TestPredict:
     def test_covariance_bank(self):
@@ -67,9 +86,29 @@ class TestPredict:
             x_hat=np.zeros(2), P=np.eye(2), s=4.0, S=4.0 * np.eye(2), alpha=np.full(3, 2.0)
         )
         pred = predict(state, np.eye(2), cfg)
-        for j, p_j in enumerate(pred.P_j, start=1):
-            assert np.allclose(p_j, (1 + j) * np.eye(2))
-            assert np.allclose(pred.G_j[j - 1], cfg.dof_g[j - 1] * p_j)
+        assert pred.G_j.shape == (3, 2, 2)
+        assert np.allclose(pred.G_j, cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q))
+        for j, big_g in enumerate(pred.G_j, start=1):
+            assert np.allclose(big_g, cfg.dof_g[j - 1] * (1 + j) * np.eye(2))
+
+    def test_log_normalisers_against_scipy(self):
+        rng = np.random.default_rng(14)
+        n = 4
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        state = FilterState(
+            x_hat=np.zeros(n), P=random_spd(rng, n), s=5.0, S=5.0 * np.eye(2),
+            alpha=np.ones(3),
+        )
+        f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        pred = predict(state, f_mat, cfg)
+        fpf = f_mat @ state.P @ f_mat.T
+        for g_j, q_j, log_norm in zip(cfg.dof_g, cfg.nominal_q, pred.log_norm_j):
+            expected = (
+                0.5 * g_j * np.linalg.slogdet(g_j * (fpf + q_j))[1]
+                - 0.5 * n * g_j * math.log(2.0)
+                - scipy.special.multigammaln(0.5 * g_j, n)
+            )
+            assert log_norm == pytest.approx(expected, rel=1e-12, abs=1e-10)
 
     def test_rho_one_keeps_priors(self):
         cfg = make_config(rho=1.0)
@@ -112,7 +151,7 @@ class TestInitIteration:
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
         assert np.allclose(it.chi, [1.0])
-        assert np.allclose(it.p_tilde, pred.P_j[0])
+        assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0])  # F = I
 
     def test_equal_bank_convexity(self):
         cfg = make_config(q_scales=(3.0, 3.0, 3.0))
@@ -122,7 +161,7 @@ class TestInitIteration:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        assert np.allclose(it.p_tilde, pred.P_j[0], atol=1e-12)
+        assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0], atol=1e-12)  # F = I
 
     def test_r_tilde_from_prior_ratio(self):
         cfg = make_config(rho=0.5)
@@ -234,8 +273,9 @@ class TestPredictedCovarianceUpdate:
         chi = it.chi
         shift = it.x - pred.x_pred
         a_mat = it.P + np.outer(shift, shift)
+        # F = I, so each component's predicted covariance is P + Qbar_j.
         numerator = sum(
-            c * g * p for c, g, p in zip(chi, cfg.dof_g, pred.P_j)
+            c * g * (state.P + q) for c, g, q in zip(chi, cfg.dof_g, cfg.nominal_q)
         ) + a_mat
         denominator = float(chi @ cfg.dof_g) + 1.0
         assert np.allclose(it.p_tilde, numerator / denominator, atol=1e-10)

@@ -122,6 +122,19 @@ class TestSpdFactor:
                 4 * math.log(c) + base, abs=1e-10
             )
 
+    def test_stack_log_det_equals_per_matrix_values(self):
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_spd(rng, 4) for _ in range(3)])
+        log_dets = spd_factor(stack).log_det()
+        assert log_dets.shape == (3,)
+        assert np.array_equal(log_dets, [spd_factor(m).log_det() for m in stack])
+
+    def test_stack_with_one_indefinite_member_rejected(self):
+        rng = np.random.default_rng(16)
+        stack = np.stack([random_spd(rng, 3), np.diag([1.0, -1.0, 1.0]), random_spd(rng, 3)])
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(stack)
+
     def test_solve(self):
         rng = np.random.default_rng(9)
         m = random_spd(rng, 5)
