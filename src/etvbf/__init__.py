@@ -17,6 +17,7 @@ from .harness import (
     emit_outputs,
     run_sweep,
     run_trial,
+    run_trials,
 )
 from .model import ModelSpec, Trajectory, build_cv_scenario, scenario_defaults, simulate_truth
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide, trigger_probability
@@ -43,6 +44,7 @@ __all__ = [
     "kf_oracle_step",
     "run_sweep",
     "run_trial",
+    "run_trials",
     "scenario_defaults",
     "sensor_decide",
     "simulate_truth",

@@ -3,8 +3,9 @@
 Covers the known-covariance event-triggered Kalman filter and an oracle
 Kalman filter that is handed the true time-varying noise covariances.
 Both reuse the adaptive filter's transmit and silent updates with known
-covariances in place of the variational estimates. The non-triggered
-variational filter is the adaptive filter fed an always-transmit outcome.
+covariances in place of the variational estimates, and step one state or
+a stack of them along a leading trial axis. The non-triggered variational
+filter is the adaptive filter fed an always-transmit outcome.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class KfState:
 
 
 def _kf_predict(state: KfState, F: np.ndarray, Q: np.ndarray):
-    x_pred = F @ state.x_hat
+    x_pred = np.matvec(F, state.x_hat)
     p_pred = symmetrize(F @ state.P @ F.T) + Q
     return x_pred, p_pred
 
@@ -47,13 +48,21 @@ def clset_kf_step(
 
     On a transmission this is the standard update; without one, the
     trigger still shrinks the covariance through the Y-augmented
-    innovation term while the estimate stays at the prediction.
+    innovation term while the estimate stays at the prediction. Each row
+    of a stack takes only the update of its own trigger branch.
     """
     x_pred, p_pred = _kf_predict(state, F, q_bar)
-    if outcome.gamma == 1:
+    sent = np.asarray(outcome.gamma) == 1
+    if sent.all():
         return KfState(*kalman_update(x_pred, p_pred, outcome.measurement, H, r_bar))
-    p_hat, _, _ = silent_update(p_pred, H, r_bar, Y)
-    return KfState(x_hat=x_pred, P=p_hat)
+    if not sent.any():
+        return KfState(x_hat=x_pred, P=silent_update(p_pred, H, r_bar, Y)[0])
+    x_hat, p_hat = x_pred.copy(), np.empty_like(p_pred)
+    x_hat[sent], p_hat[sent] = kalman_update(
+        x_pred[sent], p_pred[sent], outcome.measurement[sent], H, r_bar
+    )
+    p_hat[~sent] = silent_update(p_pred[~sent], H, r_bar, Y)[0]
+    return KfState(x_hat=x_hat, P=p_hat)
 
 
 def kf_oracle_step(

@@ -79,7 +79,7 @@ def cmd_simulate(args) -> int:
     record = run_trial(cfg, args.filter, args.trial)
     path = f"{args.out}_trial.csv"
     record.to_csv(path)
-    status = f"failed at step {record.fail_step}" if record.failed else "ok"
+    status = f"failed at step {record.fail_step}: {record.fail_reason}" if record.failed else "ok"
     print(f"wrote {path} ({status})")
     return 1 if record.failed else 0
 

@@ -1,25 +1,22 @@
 """Moment formulas of the conjugate priors, on plain arrays, and seeded sampling.
 
-The variational updates need E{P^{-1}} and E{log|P|} of an inverse-Wishart
-posterior, given its dof and one Cholesky factor of its scale, and
-E{log mu_j} of a Dirichlet concentration vector. Sampling is limited to
-what the simulation needs: Gaussian noise and, through SeededRng.uniform,
-the trigger draws.
+The variational updates need E{P^{-1}} of an inverse-Wishart posterior,
+given its dof and one Cholesky factor of its scale, and normalised
+mixture weights from log weights; both work along any leading trial axes.
+E{log|P|} and E{log mu_j} are formed in the mixture update, which makes
+one digamma call for both. Sampling is limited to what the simulation
+needs: Gaussian noise and, through SeededRng.uniform, the trigger draws.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .numerics import SpdFactor, digamma, multivariate_digamma, spd_factor
+from .numerics import SpdFactor, spd_factor
 
 __all__ = [
     "SeededRng",
     "iw_mean_of_inverse",
-    "iw_expected_logdet",
-    "dirichlet_expected_log",
     "normalize_log_weights",
     "sample_gaussian",
 ]
@@ -44,33 +41,21 @@ class SeededRng:
         return self._gen.standard_normal(size)
 
 
-def iw_mean_of_inverse(dof: float, scale: SpdFactor) -> np.ndarray:
-    """E{P^{-1}} = g G^{-1} for P ~ IW(g, G), given the factor of G."""
-    return dof * scale.inverse()
-
-
-def iw_expected_logdet(dof: float, scale: SpdFactor) -> float:
-    """E{log |P|} = log|G| - n log 2 - psi_n(g/2) for P ~ IW(g, G), given the factor of G."""
-    n = scale.lower.shape[-1]
-    return scale.log_det() - n * math.log(2.0) - multivariate_digamma(n, 0.5 * dof)
-
-
-def dirichlet_expected_log(alpha: np.ndarray) -> np.ndarray:
-    """E{log mu_j} = psi(alpha_j) - psi(sum alpha) for mu ~ Dir(alpha)."""
-    psi_total = digamma(float(alpha.sum()))
-    return np.array([digamma(a) - psi_total for a in alpha])
+def iw_mean_of_inverse(dof, scale: SpdFactor) -> np.ndarray:
+    """E{P^{-1}} = g G^{-1} for P ~ IW(g, G), given the factor of G; one dof per matrix."""
+    return np.asarray(dof)[..., None, None] * scale.inverse()
 
 
 def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    """Softmax of a log-weight vector, shift-invariant and overflow-safe."""
+    """Softmax over the last axis of log weights, shift-invariant and overflow-safe."""
     log_w = np.atleast_1d(np.asarray(log_w, dtype=float))
-    if log_w.size == 0:
+    if log_w.shape[-1] == 0:
         raise ValueError("log weights must be nonempty")
-    top = float(log_w.max())
-    if not math.isfinite(top):
+    top = log_w.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
         raise ValueError("degenerate log weights: no finite component")
     w = np.exp(log_w - top)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def sample_gaussian(rng: SeededRng, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -9,22 +9,31 @@ information from the fact that the innovation was small enough to stay
 below the stochastic trigger. The two branch updates, kalman_update and
 silent_update, are plain functions of a predicted covariance that the
 known-covariance Kalman baselines reuse.
+
+Every function takes one filter state, or a stack of B of them along a
+leading trial axis (x_hat of shape (B, n), P of shape (B, n, n), s of
+shape (B,), and so on). etvbf_step steps a stack in lockstep: rows that
+converge leave the sweep loop, and rows with different trigger outcomes
+share every update except the branch-dependent ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    dirichlet_expected_log,
-    iw_expected_logdet,
-    iw_mean_of_inverse,
-    normalize_log_weights,
+from .distributions import iw_mean_of_inverse, normalize_log_weights
+from .numerics import (
+    Singular,
+    digamma,
+    log_multivariate_gamma,
+    require_spd,
+    spd_factor,
+    symmetrize,
 )
-from .numerics import Singular, log_multivariate_gamma, require_spd, spd_factor, symmetrize
 from .trigger import TriggerConfig, TriggerOutcome
 
 __all__ = [
@@ -90,7 +99,7 @@ class FilterState:
 
     x_hat: np.ndarray
     P: np.ndarray
-    s: float
+    s: float | np.ndarray  # one dof per row of a stack
     S: np.ndarray
     alpha: np.ndarray
 
@@ -100,9 +109,9 @@ class Prediction:
     """Per-step priors: predicted state, covariance bank, forgotten dofs."""
 
     x_pred: np.ndarray
-    G_j: np.ndarray  # (M, n, n) IW scales g_j (F P F^T + Qbar_j)
+    G_j: np.ndarray  # (..., M, n, n) IW scales g_j (F P F^T + Qbar_j)
     log_norm_j: np.ndarray  # g_j log|G_j|/2 - n g_j log2/2 - log Gamma_n(g_j/2)
-    s_prior: float
+    s_prior: float | np.ndarray
     S_prior: np.ndarray
     alpha_prior: np.ndarray
 
@@ -113,9 +122,9 @@ class IterationState:
 
     x: np.ndarray
     P: np.ndarray
-    g: float
+    g: float | np.ndarray
     G: np.ndarray
-    s: float
+    s: float | np.ndarray
     S: np.ndarray
     chi: np.ndarray  # mixture weights over the nominal bank, summing to one
     alpha: np.ndarray
@@ -129,30 +138,61 @@ class IterationState:
 class StepDiagnostics:
     """Read-only per-step extras for the experiment harness."""
 
-    iterations: int
+    iterations: int | np.ndarray  # sweeps of each row of a stack
     p_tilde: np.ndarray
     r_tilde: np.ndarray
     chi: np.ndarray
 
 
 def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> FilterState:
-    """Filter state before the first step: S starts at s0 * R0."""
+    """Filter state before the first step: S starts at s0 * R0.
+
+    A stack of B initial estimates x0_hat of shape (B, n) gives a stack of
+    B states that share p0. Raises ValueError when x0_hat or p0 does not
+    match the dimension n of the nominal covariance bank.
+    """
+    x0_hat = np.asarray(x0_hat, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    n = cfg.nominal_q.shape[-1]
+    if x0_hat.ndim < 1 or x0_hat.shape[-1] != n or p0.shape != (n, n):
+        raise ValueError(
+            f"x0_hat {x0_hat.shape} and p0 {p0.shape} must match the nominal_q dimension {n}"
+        )
+    rows = x0_hat.shape[:-1]
     return FilterState(
-        x_hat=np.asarray(x0_hat, dtype=float),
-        P=np.asarray(p0, dtype=float),
-        s=cfg.s0,
-        S=cfg.s0 * cfg.r0,
-        alpha=cfg.alpha0.copy(),
+        x_hat=x0_hat,
+        P=np.broadcast_to(p0, rows + p0.shape).copy(),
+        s=np.full(rows, cfg.s0) if rows else cfg.s0,
+        S=np.broadcast_to(cfg.s0 * cfg.r0, rows + cfg.r0.shape).copy(),
+        alpha=np.broadcast_to(cfg.alpha0, rows + cfg.alpha0.shape).copy(),
     )
+
+
+def take_rows(stack, rows):
+    """The same dataclass holding the given rows of every array field of a stack."""
+    return dataclasses.replace(
+        stack,
+        **{
+            f.name: value[rows]
+            for f in dataclasses.fields(stack)
+            if (value := getattr(stack, f.name)) is not None
+        },
+    )
+
+
+def _per_matrix(v) -> np.ndarray:
+    """A per-row scalar (or a plain scalar) shaped to scale a stack of matrices."""
+    return np.asarray(v)[..., None, None]
 
 
 def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> Prediction:
     """Propagate the state, build the covariance bank, and forget old dofs."""
     n = F.shape[0]
-    g_j = cfg.dof_g[:, None, None] * (symmetrize(F @ prev.P @ F.T) + cfg.nominal_q)
+    fpf = symmetrize(F @ prev.P @ F.T)
+    g_j = cfg.dof_g[:, None, None] * (fpf[..., None, :, :] + cfg.nominal_q)
     log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
     return Prediction(
-        x_pred=F @ prev.x_hat,
+        x_pred=np.matvec(F, prev.x_hat),
         G_j=g_j,
         log_norm_j=0.5 * cfg.dof_g * spd_factor(g_j).log_det()
         - 0.5 * n * cfg.dof_g * math.log(2.0)
@@ -165,20 +205,21 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> Prediction:
 
 def init_iteration(pred: Prediction, cfg: FilterConfig) -> IterationState:
     """Sweep-zero initialization from the priors."""
-    chi0 = pred.alpha_prior / pred.alpha_prior.sum()
-    g0 = float(chi0 @ cfg.dof_g)
-    big_g0 = (chi0[:, None, None] * pred.G_j).sum(axis=0)
+    chi0 = pred.alpha_prior / pred.alpha_prior.sum(axis=-1, keepdims=True)
+    g0 = np.vecdot(chi0, cfg.dof_g)
+    big_g0 = (chi0[..., None, None] * pred.G_j).sum(axis=-3)
+    p0 = big_g0 / _per_matrix(g0)
     return IterationState(
         x=pred.x_pred.copy(),
-        P=big_g0 / g0,
+        P=p0,
         g=g0,
         G=big_g0,
         s=pred.s_prior,
         S=pred.S_prior.copy(),
         chi=chi0,
         alpha=pred.alpha_prior.copy(),
-        p_tilde=big_g0 / g0,
-        r_tilde=pred.S_prior / pred.s_prior,
+        p_tilde=p0,
+        r_tilde=pred.S_prior / _per_matrix(pred.s_prior),
     )
 
 
@@ -187,8 +228,8 @@ def kalman_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmission branch: standard gain update of (x_pred, p_pred) with z ~ N(Hx, R)."""
     ph_t = p_pred @ H.T
-    gain_t = spd_factor(symmetrize(H @ ph_t) + R).solve(ph_t.T)
-    x_hat = x_pred + gain_t.T @ (z - H @ x_pred)
+    gain_t = spd_factor(symmetrize(H @ ph_t) + R).solve(ph_t.mT)
+    x_hat = x_pred + np.matvec(gain_t.mT, z - np.matvec(H, x_pred))
     p_hat = symmetrize(p_pred - ph_t @ gain_t)
     return x_hat, p_hat
 
@@ -212,11 +253,11 @@ def silent_update(
     c = symmetrize(H @ ph_t) + R
     gain_core = np.eye(m) + Y @ c
     try:
-        p_xz = np.linalg.solve(gain_core.T, ph_t.T).T
-        p_zz = symmetrize(np.linalg.solve(gain_core.T, c))
+        p_xz = np.linalg.solve(gain_core.mT, ph_t.mT).mT
+        p_zz = symmetrize(np.linalg.solve(gain_core.mT, c))
     except np.linalg.LinAlgError as exc:
         raise Singular("trigger-augmented innovation matrix is singular") from exc
-    return symmetrize(p_pred - p_xz @ Y @ ph_t.T), p_xz, p_zz
+    return symmetrize(p_pred - p_xz @ Y @ ph_t.mT), p_xz, p_zz
 
 
 def update_joint_no_meas(
@@ -241,10 +282,10 @@ def update_predicted_cov(
 ) -> None:
     """Refresh the inverse-Wishart posterior over the predicted covariance."""
     shift = it.x - x_pred
-    a_mat = it.P + np.outer(shift, shift)
-    it.g = float(it.chi @ cfg.dof_g) + 1.0
-    it.G = symmetrize((it.chi[:, None, None] * pred.G_j).sum(axis=0) + a_mat)
-    it.p_tilde = it.G / it.g
+    a_mat = it.P + shift[..., :, None] * shift[..., None, :]
+    it.g = np.vecdot(it.chi, cfg.dof_g) + 1.0
+    it.G = symmetrize((it.chi[..., None, None] * pred.G_j).sum(axis=-3) + a_mat)
+    it.p_tilde = it.G / _per_matrix(it.g)
 
 
 def update_meas_cov(
@@ -254,46 +295,68 @@ def update_meas_cov(
     H: np.ndarray,
     pred: Prediction,
 ) -> None:
-    """Refresh the inverse-Wishart posterior over the measurement covariance."""
+    """Refresh the inverse-Wishart posterior over the measurement covariance.
+
+    gamma is the trigger outcome shared by every row of it.
+    """
     if gamma == 1:
-        residual = z - H @ it.x
-        b_mat = np.outer(residual, residual) + H @ it.P @ H.T
+        residual = z - np.matvec(H, it.x)
+        b_mat = residual[..., :, None] * residual[..., None, :] + H @ it.P @ H.T
     else:
         hp_xz = H @ it.Pxz
-        b_mat = H @ it.P @ H.T - hp_xz.T - hp_xz + it.Pzz
+        b_mat = H @ it.P @ H.T - hp_xz.mT - hp_xz + it.Pzz
     it.s = pred.s_prior + 1.0
     it.S = symmetrize(pred.S_prior + b_mat)
-    it.r_tilde = it.S / it.s
+    it.r_tilde = it.S / _per_matrix(it.s)
 
 
 def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
     """Reweight the nominal covariance bank and refresh the Dirichlet posterior.
 
     Both inverse-Wishart moments of the posterior IW(g, G) come from one
-    Cholesky factor of G.
+    Cholesky factor of G, and one digamma call serves
+    E{log|P|} = log|G| - n log 2 - sum_i psi((g + 1 - i)/2) and
+    E{log mu_j} = psi(alpha_j) - psi(sum alpha).
     """
     g_factor = spd_factor(it.G)
+    n, m_size = it.G.shape[-1], it.alpha.shape[-1]
     e_p_inv = iw_mean_of_inverse(it.g, g_factor)
-    e_logdet_p = iw_expected_logdet(it.g, g_factor)
+    half_dofs = 0.5 * np.asarray(it.g)[..., None] + np.arange(0.0, -0.5 * n, -0.5)
+    psi = digamma(
+        np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True), half_dofs], axis=-1)
+    )
+    e_logdet_p = g_factor.log_det() - n * math.log(2.0) - psi[..., m_size + 1 :].sum(axis=-1)
     # The -(n + 1) E{log|P|} / 2 of each IW log density is common to all
     # components and cancels in the normalisation, so it is left out.
     log_w = (
         pred.log_norm_j
-        - 0.5 * np.sum(pred.G_j * e_p_inv, axis=(1, 2))
-        - 0.5 * cfg.dof_g * e_logdet_p
+        - 0.5 * np.sum(pred.G_j * e_p_inv[..., None, :, :], axis=(-2, -1))
+        - 0.5 * cfg.dof_g * e_logdet_p[..., None]
+        + (psi[..., :m_size] - psi[..., m_size, None])
     )
-    log_w += dirichlet_expected_log(it.alpha)
     it.chi = normalize_log_weights(log_w)
     it.alpha = pred.alpha_prior + it.chi
 
 
-def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float) -> bool:
-    """Relative state change ||x_new - x_old|| / ||x_old|| within tol."""
-    denom = float(np.linalg.norm(x_old))
-    diff = float(np.linalg.norm(x_new - x_old))
-    if denom == 0.0:
-        return diff == 0.0
-    return diff / denom <= tol
+def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
+    """Relative state change ||x_new - x_old|| / ||x_old|| within tol, per row of a stack.
+
+    Written as ||x_new - x_old|| <= tol ||x_old||, so that x_old = 0 passes
+    only for an unchanged state.
+    """
+    step = x_new - x_old
+    return np.sqrt(np.vecdot(step, step)) <= tol * np.sqrt(np.vecdot(x_old, x_old))
+
+
+def _branch_sweep(
+    it: IterationState, pred: Prediction, gamma: int, z, H: np.ndarray, cfg: FilterConfig
+) -> None:
+    """The trigger-dependent half of a sweep, for rows that share gamma."""
+    if gamma == 0:
+        update_joint_no_meas(it, pred.x_pred, H, cfg.trigger.Y)
+    else:
+        update_state_meas(it, pred.x_pred, z, H)
+    update_meas_cov(it, gamma, z, H, pred)
 
 
 def etvbf_step(
@@ -303,25 +366,96 @@ def etvbf_step(
     outcome: TriggerOutcome,
     cfg: FilterConfig,
 ) -> tuple[FilterState, StepDiagnostics]:
-    """One full filter step: prediction, fixed-point sweeps, posterior extraction."""
+    """One full filter step: prediction, fixed-point sweeps, posterior extraction.
+
+    A stack of states takes an outcome with one gamma per row and is
+    stepped in lockstep.
+    """
+    if np.ndim(outcome.gamma):
+        return _lockstep_step(state, F, H, outcome, cfg)
     pred = predict(state, F, cfg)
     it = init_iteration(pred, cfg)
-    x_prev = it.x.copy()
+    x_prev = it.x  # the updates rebind it.x and never write into it
     iterations = 0
     for _ in range(cfg.max_iterations):
-        if outcome.gamma == 0:
-            update_joint_no_meas(it, pred.x_pred, H, cfg.trigger.Y)
-        else:
-            update_state_meas(it, pred.x_pred, outcome.measurement, H)
+        _branch_sweep(it, pred, outcome.gamma, outcome.measurement, H, cfg)
         update_predicted_cov(it, pred.x_pred, cfg, pred)
-        update_meas_cov(it, outcome.gamma, outcome.measurement, H, pred)
         update_mixture(it, pred, cfg)
         iterations += 1
         if check_convergence(it.x, x_prev, cfg.tol):
             break
-        x_prev = it.x.copy()
+        x_prev = it.x
     new_state = FilterState(x_hat=it.x, P=it.P, s=it.s, S=it.S, alpha=it.alpha)
     diagnostics = StepDiagnostics(
         iterations=iterations, p_tilde=it.p_tilde, r_tilde=it.r_tilde, chi=it.chi
+    )
+    return new_state, diagnostics
+
+
+# Fields of IterationState that the trigger-dependent half of a sweep sets.
+_BRANCH_FIELDS = ("x", "P", "s", "S", "r_tilde")
+# Fields kept from a row's last sweep, and where they go in the step's results.
+_RESULT_FIELDS = {
+    "x": "x_hat", "P": "P", "s": "s", "S": "S", "alpha": "alpha",
+    "p_tilde": "p_tilde", "r_tilde": "r_tilde", "chi": "chi",
+}
+
+
+def _lockstep_step(state, F, H, outcome, cfg):
+    """etvbf_step on a stack: each row sweeps until it converges, then leaves the loop.
+
+    Rows are ordered silent first, so each trigger branch is a slice; the
+    per-step constants are re-indexed only when rows leave. A converged row
+    is never swept again, so its result is exactly what stepping it alone
+    would give.
+    """
+    order = np.argsort(outcome.gamma, kind="stable")
+    gamma = outcome.gamma[order]
+    z = outcome.measurement[order]
+    pred = predict(take_rows(state, order), F, cfg)
+    it = init_iteration(pred, cfg)
+    rows = order  # the input row of each row still sweeping
+    out = {name: np.empty((rows.size,) + np.shape(getattr(it, field))[1:])
+           for field, name in _RESULT_FIELDS.items()}
+    out["iterations"] = np.zeros(rows.size, dtype=int)
+    x_prev = it.x
+    split = None  # each branch's rows and constants, rebuilt only when rows leave
+    for sweep in range(1, cfg.max_iterations + 1):
+        if gamma[0] == gamma[-1]:
+            _branch_sweep(it, pred, gamma[0], z, H, cfg)
+        else:
+            if split is None:
+                silent = int(np.count_nonzero(gamma == 0))
+                split = [
+                    (g, part, take_rows(pred, part), z[part])
+                    for g, part in ((0, slice(None, silent)), (1, slice(silent, None)))
+                ]
+            parts = []
+            for g, part, part_pred, part_z in split:
+                parts.append(take_rows(it, part))
+                _branch_sweep(parts[-1], part_pred, g, part_z, H, cfg)
+            for field in _BRANCH_FIELDS:
+                setattr(it, field, np.concatenate([getattr(p, field) for p in parts]))
+            it.Pxz = it.Pzz = None
+        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_mixture(it, pred, cfg)
+        done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
+        if done.any():
+            finished = rows[done]
+            for field, name in _RESULT_FIELDS.items():
+                out[name][finished] = getattr(it, field)[done]
+            out["iterations"][finished] = sweep
+            if done.all():
+                break
+            keep = ~done
+            rows, gamma, z = rows[keep], gamma[keep], z[keep]
+            it, pred, split = take_rows(it, keep), take_rows(pred, keep), None
+        x_prev = it.x
+    new_state = FilterState(
+        x_hat=out["x_hat"], P=out["P"], s=out["s"], S=out["S"], alpha=out["alpha"]
+    )
+    diagnostics = StepDiagnostics(
+        iterations=out["iterations"], p_tilde=out["p_tilde"], r_tilde=out["r_tilde"],
+        chi=out["chi"],
     )
     return new_state, diagnostics

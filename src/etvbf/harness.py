@@ -6,7 +6,9 @@ all filters see identical trajectories (common random numbers), while
 each triggered filter's draws come from a filter-local stream. All four
 filters run through one step loop; a filter id only selects the step
 function and whether the sensor trigger or an always-transmit outcome
-decides each step.
+decides each step. The loop steps a stack of trials in lockstep, one
+filter call per time step for the whole stack; a trial's record is the
+same whichever trials it runs with.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .baselines import KfState, clset_kf_step, kf_oracle_step
 from .distributions import SeededRng, sample_gaussian
-from .filter import FilterConfig, etvbf_step, initial_state
+from .filter import FilterConfig, etvbf_step, initial_state, take_rows
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
@@ -33,6 +35,7 @@ __all__ = [
     "SweepRow",
     "build_filter_config",
     "run_trial",
+    "run_trials",
     "compute_metrics",
     "run_sweep",
     "emit_outputs",
@@ -102,7 +105,7 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """Per-step log of one trial; failed trials keep their failure step."""
+    """Per-step log of one trial; failed trials keep their failure step and reason."""
 
     trial_index: int
     filter_id: str
@@ -112,6 +115,7 @@ class TrialRecord:
     iterations: np.ndarray  # (n_step,)
     failed: bool = False
     fail_step: int | None = None
+    fail_reason: str | None = None  # text of the exception that ended the trial
 
     def to_csv(self, path) -> None:
         n = self.truth.shape[1]
@@ -176,9 +180,9 @@ def _resolve_filter(
 ):
     """Initial state and step function of one filter, and whether the trigger drives it.
 
-    The step maps (state, k, F_k, H_k, outcome) to (state, sweeps); the
-    Kalman baselines report zero sweeps. Untriggered filters are handed
-    an always-transmit outcome.
+    The step maps (state, k, F_k, H_k, outcome) to (state, sweeps per row)
+    for a stack of states; the Kalman baselines report zero sweeps.
+    Untriggered filters are handed an always-transmit outcome.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
 
@@ -187,7 +191,7 @@ def _resolve_filter(
             return state, diag.iterations
 
         return initial_state(x0_hat, p0, fcfg), step, filter_id == FILTER_ETVBF
-    kf_state = KfState(x_hat=x0_hat, P=p0)
+    kf_state = KfState(x_hat=x0_hat, P=np.broadcast_to(p0, x0_hat.shape[:1] + p0.shape).copy())
     if filter_id == FILTER_CLSET:
         q_bar = cfg.clset_q_scale * np.eye(4)
         r_bar = cfg.r_scale * np.eye(2)
@@ -205,53 +209,108 @@ def _resolve_filter(
 
 
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:
-    """Simulate one closed sensor-estimator loop for one filter.
+    """Simulate one closed sensor-estimator loop for one filter (run_trials of one trial)."""
+    return run_trials(cfg, filter_id, [trial_index])[0]
 
+
+def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[TrialRecord]:
+    """Simulate the closed sensor-estimator loops of several trials in lockstep.
+
+    The trials' states form one stack that each filter call steps at once.
     The initial estimate is drawn from the truth stream before the
     trajectory, so every filter starts from the same estimate and sees
-    the same truth.
+    the same truth; each trial draws its trigger decisions from its own
+    stream. A step that raises NotPositiveDefinite or Singular is retried
+    one trial at a time: the trials that fail again are recorded failed at
+    that step with the exception text, and the others go on. So every
+    record equals the one its trial gives when run alone.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
+    trial_indices = list(trial_indices)
     model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
-    x0, p0, _ = scenario_defaults()
-    truth_rng = SeededRng((cfg.base_seed, trial_index))
-    x0_hat = sample_gaussian(truth_rng, x0, p0)
-    traj = simulate_truth(model, x0, cfg.n_step, truth_rng)
-    trig_rng = _trigger_stream(cfg, trial_index, filter_id)
     fcfg = build_filter_config(cfg)
-    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, x0_hat, p0)
+    if model.H(1).shape[0] != fcfg.trigger.Y.shape[0]:
+        raise ValueError(
+            f"the model measures {model.H(1).shape[0]} values, the trigger's Y is "
+            f"{fcfg.trigger.Y.shape}"
+        )
+    x0, p0, _ = scenario_defaults()
+    x0_hat, truth, measurements = [], [], []
+    for t in trial_indices:
+        truth_rng = SeededRng((cfg.base_seed, t))
+        x0_hat.append(sample_gaussian(truth_rng, x0, p0))
+        traj = simulate_truth(model, x0, cfg.n_step, truth_rng)
+        truth.append(traj.states)
+        measurements.append(traj.measurements)
+    truth, measurements = np.array(truth), np.array(measurements)
+    trig_rngs = [_trigger_stream(cfg, t, filter_id) for t in trial_indices]
+    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, np.array(x0_hat), p0)
 
-    estimate = np.full((cfg.n_step, model.n), np.nan)
-    gamma = np.zeros(cfg.n_step, dtype=int)
-    iterations = np.zeros(cfg.n_step, dtype=int)
-    record = TrialRecord(
-        trial_index=trial_index,
-        filter_id=filter_id,
-        truth=traj.states,
-        estimate=estimate,
-        gamma=gamma,
-        iterations=iterations,
-    )
+    count = len(trial_indices)
+    estimate = np.full((count, cfg.n_step, model.n), np.nan)
+    gamma = np.zeros((count, cfg.n_step), dtype=int)
+    iterations = np.zeros((count, cfg.n_step), dtype=int)
+    records = [
+        TrialRecord(
+            trial_index=t,
+            filter_id=filter_id,
+            truth=truth[i],
+            estimate=estimate[i],
+            gamma=gamma[i],
+            iterations=iterations[i],
+        )
+        for i, t in enumerate(trial_indices)
+    ]
 
+    live = np.arange(count)  # the trials not failed, in trial order
     for k in range(1, cfg.n_step + 1):
         f_k, h_k = model.F(k), model.H(k)
-        z_k = traj.measurements[k - 1]
+        z_k = measurements[live, k - 1]
+        if triggered:
+            z_pred = np.matvec(h_k, np.matvec(f_k, state.x_hat))
+            outcome = sensor_decide(z_k, z_pred, fcfg.trigger, [trig_rngs[i] for i in live])
+        else:
+            outcome = TriggerOutcome(gamma=np.ones(live.size, dtype=int), measurement=z_k)
         try:
-            if triggered:
-                z_pred = h_k @ (f_k @ state.x_hat)
-                outcome = sensor_decide(z_k, z_pred, fcfg.trigger, trig_rng)
-            else:
-                outcome = TriggerOutcome(gamma=1, measurement=z_k)
             state, sweeps = step(state, k, f_k, h_k, outcome)
         except (NotPositiveDefinite, Singular):
-            record.failed = True
-            record.fail_step = k
+            state, sweeps, ok = _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live)
+            live, outcome = live[ok], take_rows(outcome, ok)
+        estimate[live, k - 1] = state.x_hat
+        gamma[live, k - 1] = outcome.gamma
+        iterations[live, k - 1] = sweeps
+        if not live.size:
             break
-        estimate[k - 1] = state.x_hat
-        gamma[k - 1] = outcome.gamma
-        iterations[k - 1] = sweeps
-    return record
+    return records
+
+
+def _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live):
+    """Retry a failed lockstep step one row at a time; record the rows that fail again.
+
+    Returns the stepped stack of the rows that went through, their sweeps,
+    and the mask of those rows.
+    """
+    stepped, sweeps, ok = [], [], np.ones(live.size, dtype=bool)
+    for row in range(live.size):
+        try:
+            row_state, row_sweeps = step(
+                take_rows(state, [row]), k, f_k, h_k, take_rows(outcome, [row])
+            )
+        except (NotPositiveDefinite, Singular) as exc:
+            record = records[live[row]]
+            record.failed, record.fail_step, record.fail_reason = True, k, str(exc)
+            ok[row] = False
+            continue
+        stepped.append(row_state)
+        sweeps.append(np.broadcast_to(row_sweeps, (1,)))
+    if not stepped:
+        return take_rows(state, ok), np.zeros(0, dtype=int), ok
+    merged = {
+        f.name: np.concatenate([getattr(s, f.name) for s in stepped])
+        for f in dataclasses.fields(state)
+    }
+    return dataclasses.replace(state, **merged), np.concatenate(sweeps), ok
 
 
 def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:
@@ -285,8 +344,8 @@ def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run all filters over the sweep grid; one row per (value, filter).
 
-    Trials run in order, and each cell is a deterministic fold in trial
-    order, so the same config always gives the same rows.
+    Each cell steps its n_mc trials in lockstep and folds their records in
+    trial order, so the same config always gives the same rows.
     """
     if cfg.sweep_param is None or not cfg.sweep_grid:
         raise ValueError("run_sweep needs sweep_param and a nonempty sweep_grid")
@@ -294,7 +353,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     for value in cfg.sweep_grid:
         point_cfg = dataclasses.replace(cfg, **{SWEEP_FIELDS[cfg.sweep_param]: value})
         for filter_id in cfg.filters:
-            records = [run_trial(point_cfg, filter_id, t) for t in range(cfg.n_mc)]
+            records = run_trials(point_cfg, filter_id, range(cfg.n_mc))
             failures = sum(1 for r in records if r.failed)
             rmse, comm_rate, mean_iter = compute_metrics(records)
             rows.append(

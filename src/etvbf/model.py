@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import SeededRng, sample_gaussian
+from .distributions import SeededRng
+from .numerics import spd_factor
 
 __all__ = [
     "ModelSpec",
@@ -86,16 +87,24 @@ def simulate_truth(
 
     The initial state x0 is deterministic; noise at step k uses the true
     covariances evaluated at k. Per step the process noise is drawn
-    before the measurement noise, so the stream layout is reproducible.
+    before the measurement noise, so the stream layout is reproducible;
+    all draws are taken at once and every covariance is factored in one
+    stacked Cholesky.
     """
+    n, m = model.n, model.m
+    ks = range(1, steps + 1)
+    q_lower = spd_factor(np.array([model.trueQ(k) for k in ks])).lower
+    r_lower = spd_factor(np.array([model.trueR(k) for k in ks])).lower
+    draws = rng.standard_normal(steps * (n + m)).reshape(steps, n + m)
+    w = np.matvec(q_lower, draws[:, :n])
+    v = np.matvec(r_lower, draws[:, n:])
     x = np.asarray(x0, dtype=float)
-    states = np.empty((steps, model.n))
-    measurements = np.empty((steps, model.m))
-    for k in range(1, steps + 1):
-        x = model.F(k) @ x + sample_gaussian(rng, np.zeros(model.n), model.trueQ(k))
-        z = model.H(k) @ x + sample_gaussian(rng, np.zeros(model.m), model.trueR(k))
+    states = np.empty((steps, n))
+    measurements = np.empty((steps, m))
+    for k in ks:
+        x = model.F(k) @ x + w[k - 1]
         states[k - 1] = x
-        measurements[k - 1] = z
+        measurements[k - 1] = model.H(k) @ x + v[k - 1]
     return Trajectory(states=states, measurements=measurements)
 
 

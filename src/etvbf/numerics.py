@@ -20,7 +20,6 @@ __all__ = [
     "require_spd",
     "symmetrize",
     "digamma",
-    "multivariate_digamma",
     "log_multivariate_gamma",
     "spd_factor",
 ]
@@ -67,49 +66,31 @@ def require_spd(m, name: str, ndim: int = 2, semidefinite: bool = False) -> np.n
 
 
 # Asymptotic series coefficients for psi(x): the x^{-2k} terms are
-# -B_{2k}/(2k), Bernoulli numbers B_2..B_14.
-_DIGAMMA_SERIES = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
+# -B_{2k}/(2k), Bernoulli numbers B_2..B_14, k = 1..7.
+_DIGAMMA_SERIES = np.array(
+    [-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0, -1.0 / 132.0, 691.0 / 32760.0, -1.0 / 12.0]
 )
-
+_DIGAMMA_POWERS = np.arange(1.0, 8.0)
 _DIGAMMA_SHIFT = 8.0
+_DIGAMMA_STEPS = np.arange(_DIGAMMA_SHIFT)
 
 
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0.
+def digamma(x):
+    """Digamma function psi(x), elementwise for x > 0.
 
-    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift the argument
-    above 8, then the asymptotic series; absolute error is below 1e-12
-    over [1e-3, 1e6].
+    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift every argument
+    to at least 8, then the asymptotic series; absolute error is below
+    1e-12 over [1e-3, 1e6]. Returns a float for a scalar argument.
     """
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_SERIES:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + series
-
-
-def multivariate_digamma(n: int, a: float) -> float:
-    """Multivariate digamma psi_n(a) = sum_{i=1..n} psi(a + (1-i)/2)."""
-    if n < 1:
-        raise ValueError(f"order must be a positive integer, got {n}")
-    if not a > 0.5 * (n - 1):
-        raise ValueError(f"multivariate digamma requires a > (n-1)/2, got a={a}, n={n}")
-    return sum(digamma(a + 0.5 * (1 - i)) for i in range(1, n + 1))
+    x = np.asarray(x, dtype=float)
+    if not x.min() > 0.0:
+        raise ValueError(f"digamma requires x > 0, got a minimum of {x.min()}")
+    shifted = x[..., None] + _DIGAMMA_STEPS
+    below = shifted < _DIGAMMA_SHIFT
+    recurrence = (below / shifted).sum(axis=-1)
+    x = x + below.sum(axis=-1)
+    series = np.vecdot((1.0 / (x * x))[..., None] ** _DIGAMMA_POWERS, _DIGAMMA_SERIES)
+    return np.log(x) - 0.5 / x + series - recurrence
 
 
 def log_multivariate_gamma(n: int, a: float) -> float:

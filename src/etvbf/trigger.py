@@ -8,6 +8,7 @@ exp(-0.5 e^T Y e), so small innovations are transmitted rarely.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,31 +35,62 @@ class TriggerConfig:
 
 @dataclass(frozen=True)
 class TriggerOutcome:
-    """Per-step transmit decision; the measurement is attached iff gamma = 1."""
+    """Per-step transmit decision; the measurement is attached iff gamma = 1.
 
-    gamma: int
+    For a stack of B trials, gamma holds one 0/1 per row and measurement
+    is (B, m) with NaN on every silent row, so that an untransmitted
+    measurement cannot be used unnoticed.
+    """
+
+    gamma: int | np.ndarray
     measurement: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma not in (0, 1):
-            raise ValueError("gamma must be 0 or 1")
-        if (self.measurement is None) != (self.gamma == 0):
-            raise ValueError("measurement must be present exactly when gamma = 1")
+        if not isinstance(self.gamma, np.ndarray):
+            if self.gamma not in (0, 1):
+                raise ValueError("gamma must be 0 or 1")
+            if (self.measurement is None) != (self.gamma == 0):
+                raise ValueError("measurement must be present exactly when gamma = 1")
+            return
+        gamma = self.gamma
+        if gamma.ndim != 1 or not np.isin(gamma, (0, 1)).all():
+            raise ValueError("gamma must be 0 or 1 in every row of a one-axis stack")
+        z = self.measurement
+        if z is None or np.ndim(z) != 2 or len(z) != gamma.size:
+            raise ValueError("a stacked outcome needs one measurement row per gamma")
+        sent = gamma == 1
+        if not (np.isfinite(z[sent]).all() and np.isnan(z[~sent]).all()):
+            raise ValueError("measurement rows must be finite where gamma = 1 and NaN where 0")
 
 
-def trigger_probability(e: np.ndarray, cfg: TriggerConfig) -> float:
-    """P(no transmission | innovation e) = exp(-0.5 e^T Y e)."""
+# Every silent decision of a single sensor is this one immutable outcome.
+_SILENT = TriggerOutcome(gamma=0)
+
+
+def trigger_probability(e: np.ndarray, cfg: TriggerConfig):
+    """P(no transmission | innovation e) = exp(-0.5 e^T Y e); one per row of a stack."""
     e = np.asarray(e, dtype=float)
-    return math.exp(-0.5 * float(e @ cfg.Y @ e))
+    if e.ndim == 1:
+        return math.exp(-0.5 * e.dot(cfg.Y).dot(e))
+    # The same products and math.exp per row, so a row's decision is the one
+    # its innovation gets alone.
+    return np.array([math.exp(-0.5 * q) for q in np.vecdot(np.vecmat(e, cfg.Y), e).tolist()])
 
 
 def sensor_decide(
-    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, rng: SeededRng
+    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, rng: SeededRng | Sequence[SeededRng]
 ) -> TriggerOutcome:
-    """Draw zeta ~ U[0,1] and withhold the measurement when zeta <= exp(-0.5 e^T Y e)."""
+    """Draw zeta ~ U[0,1] and withhold the measurement when zeta <= exp(-0.5 e^T Y e).
+
+    For a stack of B measurements, rng is a sequence of B streams, one per
+    row, and each row draws from its own stream in row order.
+    """
     z = np.asarray(z, dtype=float)
-    phi = trigger_probability(z - np.asarray(z_pred, dtype=float), cfg)
-    zeta = rng.uniform()
-    if zeta <= phi:
-        return TriggerOutcome(gamma=0)
-    return TriggerOutcome(gamma=1, measurement=z)
+    phi = trigger_probability(z - z_pred, cfg)
+    if z.ndim == 1:
+        if rng.uniform() <= phi:
+            return _SILENT
+        return TriggerOutcome(gamma=1, measurement=z)
+    zeta = np.array([row_rng.uniform() for row_rng in rng])
+    gamma = (zeta > phi).astype(int)
+    return TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from etvbf.numerics import Singular, log_multivariate_gamma, spd_factor
+from etvbf.numerics import Singular, SpdFactor, digamma, log_multivariate_gamma, spd_factor
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -74,3 +74,23 @@ def iw_log_pdf(dof: float, scale: np.ndarray, p: np.ndarray) -> float:
         - 0.5 * g * n * math.log(2.0)
         - log_multivariate_gamma(n, 0.5 * g)
     )
+
+
+def multivariate_digamma(n: int, a: float) -> float:
+    """Multivariate digamma psi_n(a) = sum_{i=1..n} psi(a + (1-i)/2)."""
+    if n < 1:
+        raise ValueError(f"order must be a positive integer, got {n}")
+    if not a > 0.5 * (n - 1):
+        raise ValueError(f"multivariate digamma requires a > (n-1)/2, got a={a}, n={n}")
+    return sum(digamma(a + 0.5 * (1 - i)) for i in range(1, n + 1))
+
+
+def iw_expected_logdet(dof: float, scale: SpdFactor) -> float:
+    """E{log |P|} = log|G| - n log 2 - psi_n(g/2) for P ~ IW(g, G), given the factor of G."""
+    n = scale.lower.shape[-1]
+    return scale.log_det() - n * math.log(2.0) - multivariate_digamma(n, 0.5 * dof)
+
+
+def dirichlet_expected_log(alpha: np.ndarray) -> np.ndarray:
+    """E{log mu_j} = psi(alpha_j) - psi(sum alpha) for mu ~ Dir(alpha)."""
+    return digamma(alpha) - digamma(alpha.sum())

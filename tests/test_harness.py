@@ -5,15 +5,22 @@ import pathlib
 import numpy as np
 import pytest
 
+from etvbf import harness
 from etvbf.cli import main as cli_main
+from etvbf.filter import initial_state
 from etvbf.harness import (
+    FILTER_IDS,
     ExperimentConfig,
     TrialRecord,
+    build_filter_config,
     compute_metrics,
     emit_outputs,
     run_sweep,
     run_trial,
+    run_trials,
 )
+from etvbf.model import ModelSpec, build_cv_scenario
+from etvbf.numerics import NotPositiveDefinite
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
 GOLDEN_SINGLE_CSV = pathlib.Path(__file__).parent / "data" / "sweep_golden_single.csv"
@@ -57,6 +64,72 @@ class TestRunTrial:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == cfg.n_step + 1
         assert lines[0].startswith("k,x1")
+
+
+def assert_same_record(a, b):
+    assert (a.trial_index, a.filter_id) == (b.trial_index, b.filter_id)
+    assert (a.failed, a.fail_step, a.fail_reason) == (b.failed, b.fail_step, b.fail_reason)
+    for field in ("truth", "estimate", "gamma", "iterations"):
+        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    def test_record_independent_of_batch(self, filter_id):
+        """A trial's record is bitwise the same alone, with 2 other trials and with 19."""
+        cfg = ExperimentConfig(n_step=40, y_scale=0.005, base_seed=31)
+        twenty = run_trials(cfg, filter_id, range(20))
+        gammas = np.array([r.gamma for r in twenty])
+        mixed_steps = np.any(gammas != gammas[0], axis=0)
+        assert mixed_steps.any() == (filter_id in ("etvbf", "clset-kf"))
+        for t in (0, 7, 19):
+            assert_same_record(twenty[t], run_trial(cfg, filter_id, t))
+            trio = run_trials(cfg, filter_id, [(t + 5) % 20, t, (t + 11) % 20])
+            assert_same_record(twenty[t], trio[1])
+
+    def test_failing_row_is_recorded_alone(self, monkeypatch):
+        """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
+        cfg = ExperimentConfig(n_step=12, base_seed=5)
+        clean = run_trials(cfg, "etvbf", range(6))
+        target = clean[3].estimate[3]  # trial 3's estimate entering step 5
+        real_step = harness.etvbf_step
+
+        def step(state, f_k, h_k, outcome, fcfg):
+            if np.all(state.x_hat == target, axis=-1).any():
+                raise NotPositiveDefinite("forced breakdown")
+            return real_step(state, f_k, h_k, outcome, fcfg)
+
+        monkeypatch.setattr(harness, "etvbf_step", step)
+        records = run_trials(cfg, "etvbf", range(6))
+        assert [r.failed for r in records] == [False, False, False, True, False, False]
+        assert (records[3].fail_step, records[3].fail_reason) == (5, "forced breakdown")
+        assert_same_record(records[3], run_trial(cfg, "etvbf", 3))
+        assert np.isnan(records[3].estimate[4:]).all()
+        without = run_trials(cfg, "etvbf", [0, 1, 2, 4, 5])
+        for got, expected in zip(records[:3] + records[4:], without):
+            assert_same_record(got, expected)
+
+
+class TestDimensionChecks:
+    @pytest.mark.parametrize("case", ["x0_hat", "p0", "model_h_rows"])
+    def test_mismatch_rejected_before_first_step(self, case, monkeypatch):
+        cfg = ExperimentConfig(**TINY)
+        fcfg = build_filter_config(cfg)
+        if case == "x0_hat":
+            with pytest.raises(ValueError, match="nominal_q dimension"):
+                initial_state(np.zeros(3), np.eye(4), fcfg)
+        elif case == "p0":
+            with pytest.raises(ValueError, match="nominal_q dimension"):
+                initial_state(np.zeros((2, 4)), np.eye(5), fcfg)
+        else:
+            cv = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
+            three_rows = ModelSpec(
+                n=4, m=3, F=cv.F, H=lambda k: np.eye(3, 4), trueQ=cv.trueQ,
+                trueR=lambda k: np.eye(3),
+            )
+            monkeypatch.setattr(harness, "build_cv_scenario", lambda *args: three_rows)
+            with pytest.raises(ValueError, match="measures 3 values"):
+                run_trials(cfg, "clset-kf", range(2))
 
 
 def _synthetic_record(err, gamma, iters, n_step=4, n=2):

@@ -9,10 +9,9 @@ from etvbf.numerics import (
     Singular,
     digamma,
     log_multivariate_gamma,
-    multivariate_digamma,
     spd_factor,
 )
-from helpers import block_inverse, random_spd
+from helpers import block_inverse, multivariate_digamma, random_spd
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -42,6 +41,19 @@ class TestDigamma:
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
+            digamma(x)
+
+    def test_elementwise_on_arrays_against_scipy(self):
+        x = np.geomspace(1e-3, 1e6, 60).reshape(3, 4, 5)
+        out = digamma(x)
+        assert out.shape == x.shape
+        assert np.abs(out - scipy.special.digamma(x)).max() <= 1e-10
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_array_with_one_bad_element_rejected(self, bad):
+        x = np.full((2, 3), 4.5)
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="x > 0"):
             digamma(x)
 
 

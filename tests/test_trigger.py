@@ -96,6 +96,44 @@ class TestTriggerOutcome:
         with pytest.raises(ValueError):
             TriggerOutcome(gamma=0, measurement=np.zeros(2))
 
+    def test_stacked_outcome_accepts_nan_on_silent_rows(self):
+        z = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])
+        outcome = TriggerOutcome(gamma=np.array([1, 0, 1]), measurement=z)
+        assert outcome.gamma.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "gamma,z",
+        [
+            ([1, 2, 0], [[1.0, 2.0], [3.0, 4.0], [np.nan, np.nan]]),
+            ([1, 0, 1], [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]),
+            ([1, 0, 1], [[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]]),
+            ([1, 0, 1], [[1.0, np.nan], [np.nan, np.nan], [3.0, 4.0]]),
+            ([1, 0], [[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]]),
+        ],
+        ids=["gamma-2", "finite-silent-row", "half-finite-silent-row", "nan-sent-row", "row-count"],
+    )
+    def test_stacked_outcome_rejects_bad_rows(self, gamma, z):
+        with pytest.raises(ValueError):
+            TriggerOutcome(gamma=np.array(gamma), measurement=np.array(z))
+
+
+class TestStackedDecide:
+    def test_rows_match_single_decisions_from_own_streams(self):
+        cfg = TriggerConfig(Y=0.3 * np.eye(2))
+        rng = np.random.default_rng(8)
+        z = 3.0 * rng.standard_normal((6, 2))
+        z_pred = np.zeros((6, 2))
+        stacked = sensor_decide(z, z_pred, cfg, [SeededRng((4, i)) for i in range(6)])
+        assert set(stacked.gamma.tolist()) == {0, 1}
+        for i in range(6):
+            single = sensor_decide(z[i], z_pred[i], cfg, SeededRng((4, i)))
+            assert stacked.gamma[i] == single.gamma
+            assert trigger_probability(z[i], cfg) == trigger_probability(z[i : i + 1], cfg)[0]
+            if single.gamma:
+                assert np.array_equal(stacked.measurement[i], single.measurement)
+            else:
+                assert np.isnan(stacked.measurement[i]).all()
+
 
 class TestTriggerConfig:
     def test_rejects_indefinite_and_asymmetric_y(self):
