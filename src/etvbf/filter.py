@@ -12,9 +12,11 @@ known-covariance Kalman baselines reuse.
 
 Every function takes one filter state, or a stack of B of them along a
 leading trial axis (x_hat of shape (B, n), P of shape (B, n, n), s of
-shape (B,), and so on). etvbf_step steps a stack in lockstep: rows that
-converge leave the sweep loop, and rows with different trigger outcomes
-share every update except the branch-dependent ones.
+shape (B,), and so on). etvbf_step runs one sweep loop for both: a single
+state goes through it as it is, not as a stack of one. A stack is stepped
+in lockstep: rows that converge leave the sweep loop, and rows with
+different trigger outcomes share every update except the branch-dependent
+ones.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class FilterState:
 
     x_hat: np.ndarray
     P: np.ndarray
-    s: float | np.ndarray  # one dof per row of a stack
+    s: np.ndarray  # the dof: () for a single state, (B,) for a stack
     S: np.ndarray
     alpha: np.ndarray
 
@@ -111,7 +113,7 @@ class Prediction:
     x_pred: np.ndarray
     G_j: np.ndarray  # (..., M, n, n) IW scales g_j (F P F^T + Qbar_j)
     log_norm_j: np.ndarray  # g_j log|G_j|/2 - n g_j log2/2 - log Gamma_n(g_j/2)
-    s_prior: float | np.ndarray
+    s_prior: np.ndarray
     S_prior: np.ndarray
     alpha_prior: np.ndarray
 
@@ -122,9 +124,9 @@ class IterationState:
 
     x: np.ndarray
     P: np.ndarray
-    g: float | np.ndarray
+    g: np.ndarray
     G: np.ndarray
-    s: float | np.ndarray
+    s: np.ndarray
     S: np.ndarray
     chi: np.ndarray  # mixture weights over the nominal bank, summing to one
     alpha: np.ndarray
@@ -138,7 +140,7 @@ class IterationState:
 class StepDiagnostics:
     """Read-only per-step extras for the experiment harness."""
 
-    iterations: int | np.ndarray  # sweeps of each row of a stack
+    iterations: np.integer | np.ndarray  # sweeps: a numpy integer, or one per row of a stack
     p_tilde: np.ndarray
     r_tilde: np.ndarray
     chi: np.ndarray
@@ -162,7 +164,7 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
     return FilterState(
         x_hat=x0_hat,
         P=np.broadcast_to(p0, rows + p0.shape).copy(),
-        s=np.full(rows, cfg.s0) if rows else cfg.s0,
+        s=np.full(rows, cfg.s0),
         S=np.broadcast_to(cfg.s0 * cfg.r0, rows + cfg.r0.shape).copy(),
         alpha=np.broadcast_to(cfg.alpha0, rows + cfg.alpha0.shape).copy(),
     )
@@ -359,6 +361,24 @@ def _branch_sweep(
     update_meas_cov(it, gamma, z, H, pred)
 
 
+def _branches(gamma: np.ndarray, z, pred: Prediction, mixed: bool) -> list:
+    """(gamma, per-step constants, measurements, rows) of each trigger branch: two slices
+    of a mixed stack sorted silent first, else the whole stack or the single state."""
+    if not mixed:
+        return [(gamma.item(0), pred, z, None)]
+    silent = int(np.count_nonzero(gamma == 0))
+    return [
+        (g, take_rows(pred, part), z[part], part)
+        for g, part in ((0, slice(None, silent)), (1, slice(silent, None)))
+    ]
+
+
+# Fields of IterationState that the trigger-dependent half of a sweep sets.
+_BRANCH_FIELDS = ("x", "P", "s", "S", "r_tilde")
+# Fields of IterationState that a row's last sweep leaves as the step's results.
+_RESULT_FIELDS = ("x", "P", "s", "S", "alpha", "p_tilde", "r_tilde", "chi")
+
+
 def etvbf_step(
     state: FilterState,
     F: np.ndarray,
@@ -368,70 +388,32 @@ def etvbf_step(
 ) -> tuple[FilterState, StepDiagnostics]:
     """One full filter step: prediction, fixed-point sweeps, posterior extraction.
 
-    A stack of states takes an outcome with one gamma per row and is
-    stepped in lockstep.
+    A single state and a stack, which takes an outcome with one gamma per
+    row, run the same sweep loop. Each row sweeps until it converges and
+    then leaves the loop, so its result is exactly what stepping it alone
+    would give. Rows that take both trigger branches are sorted silent
+    first; the per-branch constants are re-indexed only when rows leave. A
+    gamma not shaped like the state's rows raises ValueError.
     """
-    if np.ndim(outcome.gamma):
-        return _lockstep_step(state, F, H, outcome, cfg)
+    gamma, z = np.asarray(outcome.gamma), outcome.measurement
+    if gamma.shape != np.shape(state.s):
+        raise ValueError(f"outcome gamma {gamma.shape} and state rows {np.shape(state.s)} differ")
+    rows = None  # the input row of each row still sweeping, once rows move
+    mixed = 0 < np.count_nonzero(gamma) < gamma.size  # never for a single state
+    if mixed:
+        rows = np.argsort(gamma, kind="stable")
+        gamma, z, state = gamma[rows], z[rows], take_rows(state, rows)
     pred = predict(state, F, cfg)
     it = init_iteration(pred, cfg)
+    branches = _branches(gamma, z, pred, mixed)
+    left = []  # (input rows, sweeps, result fields) of the rows that left the loop
     x_prev = it.x  # the updates rebind it.x and never write into it
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        _branch_sweep(it, pred, outcome.gamma, outcome.measurement, H, cfg)
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
-        update_mixture(it, pred, cfg)
-        iterations += 1
-        if check_convergence(it.x, x_prev, cfg.tol):
-            break
-        x_prev = it.x
-    new_state = FilterState(x_hat=it.x, P=it.P, s=it.s, S=it.S, alpha=it.alpha)
-    diagnostics = StepDiagnostics(
-        iterations=iterations, p_tilde=it.p_tilde, r_tilde=it.r_tilde, chi=it.chi
-    )
-    return new_state, diagnostics
-
-
-# Fields of IterationState that the trigger-dependent half of a sweep sets.
-_BRANCH_FIELDS = ("x", "P", "s", "S", "r_tilde")
-# Fields kept from a row's last sweep, and where they go in the step's results.
-_RESULT_FIELDS = {
-    "x": "x_hat", "P": "P", "s": "s", "S": "S", "alpha": "alpha",
-    "p_tilde": "p_tilde", "r_tilde": "r_tilde", "chi": "chi",
-}
-
-
-def _lockstep_step(state, F, H, outcome, cfg):
-    """etvbf_step on a stack: each row sweeps until it converges, then leaves the loop.
-
-    Rows are ordered silent first, so each trigger branch is a slice; the
-    per-step constants are re-indexed only when rows leave. A converged row
-    is never swept again, so its result is exactly what stepping it alone
-    would give.
-    """
-    order = np.argsort(outcome.gamma, kind="stable")
-    gamma = outcome.gamma[order]
-    z = outcome.measurement[order]
-    pred = predict(take_rows(state, order), F, cfg)
-    it = init_iteration(pred, cfg)
-    rows = order  # the input row of each row still sweeping
-    out = {name: np.empty((rows.size,) + np.shape(getattr(it, field))[1:])
-           for field, name in _RESULT_FIELDS.items()}
-    out["iterations"] = np.zeros(rows.size, dtype=int)
-    x_prev = it.x
-    split = None  # each branch's rows and constants, rebuilt only when rows leave
     for sweep in range(1, cfg.max_iterations + 1):
-        if gamma[0] == gamma[-1]:
-            _branch_sweep(it, pred, gamma[0], z, H, cfg)
+        if len(branches) == 1:
+            _branch_sweep(it, pred, branches[0][0], z, H, cfg)
         else:
-            if split is None:
-                silent = int(np.count_nonzero(gamma == 0))
-                split = [
-                    (g, part, take_rows(pred, part), z[part])
-                    for g, part in ((0, slice(None, silent)), (1, slice(silent, None)))
-                ]
             parts = []
-            for g, part, part_pred, part_z in split:
+            for g, part_pred, part_z, part in branches:
                 parts.append(take_rows(it, part))
                 _branch_sweep(parts[-1], part_pred, g, part_z, H, cfg)
             for field in _BRANCH_FIELDS:
@@ -440,22 +422,31 @@ def _lockstep_step(state, F, H, outcome, cfg):
         update_predicted_cov(it, pred.x_pred, cfg, pred)
         update_mixture(it, pred, cfg)
         done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
-        if done.any():
-            finished = rows[done]
-            for field, name in _RESULT_FIELDS.items():
-                out[name][finished] = getattr(it, field)[done]
-            out["iterations"][finished] = sweep
-            if done.all():
-                break
+        stopped = np.count_nonzero(done)  # a single state's 0-d flag stops all rows or none
+        if stopped == done.size:
+            break
+        if stopped:
+            if rows is None:
+                rows = np.arange(done.size)
+            left.append((rows[done], sweep, {f: getattr(it, f)[done] for f in _RESULT_FIELDS}))
             keep = ~done
             rows, gamma, z = rows[keep], gamma[keep], z[keep]
-            it, pred, split = take_rows(it, keep), take_rows(pred, keep), None
+            it, pred = take_rows(it, keep), take_rows(pred, keep)
+            branches = _branches(gamma, z, pred, gamma[0] != gamma[-1])  # still sorted
         x_prev = it.x
+    final = {f: getattr(it, f) for f in _RESULT_FIELDS}
+    if rows is None:
+        iterations = sweep + np.zeros(gamma.shape, dtype=int)  # a numpy integer for a single state
+    else:  # rows were sorted or left early: put them back in input order
+        left.append((rows, sweep, final))
+        order = np.argsort(np.concatenate([r for r, _, _ in left]))
+        iterations = np.concatenate([np.full(r.size, s) for r, s, _ in left])[order]
+        final = {f: np.concatenate([p[f] for _, _, p in left])[order] for f in _RESULT_FIELDS}
     new_state = FilterState(
-        x_hat=out["x_hat"], P=out["P"], s=out["s"], S=out["S"], alpha=out["alpha"]
+        x_hat=final["x"], P=final["P"], s=final["s"], S=final["S"], alpha=final["alpha"]
     )
     diagnostics = StepDiagnostics(
-        iterations=out["iterations"], p_tilde=out["p_tilde"], r_tilde=out["r_tilde"],
-        chi=out["chi"],
+        iterations=iterations, p_tilde=final["p_tilde"], r_tilde=final["r_tilde"],
+        chi=final["chi"],
     )
     return new_state, diagnostics

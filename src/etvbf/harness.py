@@ -235,6 +235,8 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
             f"the model measures {model.H(1).shape[0]} values, the trigger's Y is "
             f"{fcfg.trigger.Y.shape}"
         )
+    if not trial_indices:
+        return []
     x0, p0, _ = scenario_defaults()
     x0_hat, truth, measurements = [], [], []
     for t in trial_indices:

@@ -18,6 +18,8 @@ from .numerics import require_spd
 
 __all__ = ["TriggerConfig", "TriggerOutcome", "trigger_probability", "sensor_decide"]
 
+# The scalar forms stay: one sensor_decide costs ~5 us, a one-row stack ~70 us (stacked checks).
+
 
 @dataclass(frozen=True)
 class TriggerConfig:

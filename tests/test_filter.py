@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from etvbf.distributions import SeededRng
 from etvbf.filter import (
@@ -489,6 +492,23 @@ class TestStepOrchestration:
         assert np.allclose(new_state.x_hat, f @ state.x_hat, atol=1e-12)
         assert np.linalg.norm(new_state.P - diag.p_tilde) < 1e-6
 
+    @pytest.mark.parametrize(
+        "x0_rows, outcome",
+        [
+            ((), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
+            ((3,), TriggerOutcome(gamma=np.array([1, 1]), measurement=np.ones((2, 2)))),
+            ((2,), TriggerOutcome(gamma=1, measurement=np.ones(2))),
+        ],
+    )
+    def test_outcome_rows_must_match_state_rows(self, x0_rows, outcome):
+        """An outcome with other rows than the state is rejected, not broadcast."""
+        cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0))
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        state = initial_state(np.broadcast_to(x0, x0_rows + x0.shape), p0, cfg)
+        with pytest.raises(ValueError, match="gamma"):
+            etvbf_step(state, model.F(1), model.H(1), outcome, cfg)
+
     def test_iteration_budget_and_chi_normalization(self):
         cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), tol=1e-8)
         model = build_cv_scenario(1.0, 500)
@@ -532,3 +552,50 @@ class TestStepOrchestration:
             state, _ = etvbf_step(state, model.F(k), model.H(k), outcome, cfg)
             assert np.all(np.linalg.eigvalsh(state.S - prev_s) > -1e-9)
             prev_s = state.S
+
+
+@st.composite
+def stacked_steps(draw):
+    """A stack of 1-6 rows: offsets of the initial estimates and the measurements
+    from the scenario's start, an unsorted 0/1 gamma per row, and a sweep budget."""
+    rows = draw(st.integers(1, 6))
+    return (
+        draw(arrays(float, (rows, 4), elements=st.floats(-50.0, 50.0))),
+        draw(arrays(float, (rows, 2), elements=st.floats(-30.0, 30.0))),
+        np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))),
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from([1e-6, 1e-3, 1e-1])),
+    )
+
+
+class TestStackMatchesSingleState:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stacked_steps())
+    def test_every_row_bitwise_equals_its_single_state_step(self, case):
+        """Row i of a stacked step, sweep count included, is bitwise the step of state i alone."""
+        x_offsets, z_offsets, gamma, max_iterations, tol = case
+        cfg = dataclasses.replace(
+            make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
+                        rho=0.997, y_scale=0.015, tol=tol),
+            max_iterations=max_iterations,
+        )
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        f, h = model.F(1), model.H(1)
+        x0_hat = x0 + x_offsets
+        z = h @ f @ x0 + z_offsets
+        stacked = etvbf_step(
+            initial_state(x0_hat, p0, cfg), f, h,
+            TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan)),
+            cfg,
+        )
+        for i, g in enumerate(gamma.tolist()):
+            outcome = TriggerOutcome(gamma=1, measurement=z[i]) if g else TriggerOutcome(gamma=0)
+            single = etvbf_step(initial_state(x0_hat[i], p0, cfg), f, h, outcome, cfg)
+            assert isinstance(single[1].iterations, np.integer)
+            for stack_part, single_part in zip(stacked, single):
+                for field in dataclasses.fields(single_part):
+                    row = np.asarray(getattr(stack_part, field.name))[i]
+                    alone = np.asarray(getattr(single_part, field.name))
+                    assert (row.shape, row.dtype) == (alone.shape, alone.dtype), field.name
+                    assert row.tobytes() == alone.tobytes(), (i, field.name)

@@ -87,6 +87,10 @@ class TestLockstep:
             trio = run_trials(cfg, filter_id, [(t + 5) % 20, t, (t + 11) % 20])
             assert_same_record(twenty[t], trio[1])
 
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    def test_no_trials_give_no_records(self, filter_id):
+        assert run_trials(ExperimentConfig(**TINY), filter_id, []) == []
+
     def test_failing_row_is_recorded_alone(self, monkeypatch):
         """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
         cfg = ExperimentConfig(n_step=12, base_seed=5)
