@@ -65,13 +65,8 @@ def _resolve_config(args, **overrides) -> ExperimentConfig:
 
 
 def _parse_filters(spec: str | None) -> tuple[str, ...] | None:
-    if spec is None:
-        return None
-    filters = tuple(f.strip() for f in spec.split(",") if f.strip())
-    unknown = set(filters) - set(FILTER_IDS)
-    if unknown:
-        raise SystemExit(f"unknown filters {sorted(unknown)}; choose from {FILTER_IDS}")
-    return filters
+    """Split a comma-separated list; ExperimentConfig checks the ids."""
+    return None if spec is None else tuple(f.strip() for f in spec.split(",") if f.strip())
 
 
 def cmd_simulate(args) -> int:
@@ -143,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="all filters at one (y, r) setting")
     p_cmp.add_argument("--y", type=float, default=0.015, help="trigger scale factor")
-    p_cmp.add_argument("--r", type=float, default=150.0, help="nominal noise scale")
+    p_cmp.add_argument("--r", type=float, help="nominal noise scale; default from the config")
     p_cmp.add_argument("--filters", help="comma-separated filter ids")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)

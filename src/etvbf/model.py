@@ -55,6 +55,8 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
     """
     if sample_time <= 0.0:
         raise ValueError("sample_time must be positive")
+    if cosine_period <= 0:
+        raise ValueError("cosine_period must be positive")
     t = float(sample_time)
     eye2 = np.eye(2)
     f_mat = np.block([[eye2, t * eye2], [np.zeros((2, 2)), eye2]])

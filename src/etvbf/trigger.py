@@ -55,7 +55,7 @@ class TriggerOutcome:
                 raise ValueError("measurement must be present exactly when gamma = 1")
             return
         gamma = self.gamma
-        if gamma.ndim != 1 or not np.isin(gamma, (0, 1)).all():
+        if gamma.ndim != 1 or not ((gamma == 0) | (gamma == 1)).all():
             raise ValueError("gamma must be 0 or 1 in every row of a one-axis stack")
         z = self.measurement
         if z is None or np.ndim(z) != 2 or len(z) != gamma.size:

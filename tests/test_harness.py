@@ -115,25 +115,31 @@ class TestLockstep:
 
 
 class TestDimensionChecks:
-    @pytest.mark.parametrize("case", ["x0_hat", "p0", "model_h_rows"])
-    def test_mismatch_rejected_before_first_step(self, case, monkeypatch):
-        cfg = ExperimentConfig(**TINY)
-        fcfg = build_filter_config(cfg)
+    @pytest.mark.parametrize("case", ["x0_hat", "p0"])
+    def test_mismatch_rejected_before_first_step(self, case):
+        fcfg = build_filter_config(ExperimentConfig(**TINY))
         if case == "x0_hat":
             with pytest.raises(ValueError, match="nominal_q dimension"):
                 initial_state(np.zeros(3), np.eye(4), fcfg)
-        elif case == "p0":
+        else:
             with pytest.raises(ValueError, match="nominal_q dimension"):
                 initial_state(np.zeros((2, 4)), np.eye(5), fcfg)
-        else:
-            cv = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
-            three_rows = ModelSpec(
-                n=4, m=3, F=cv.F, H=lambda k: np.eye(3, 4), trueQ=cv.trueQ,
-                trueR=lambda k: np.eye(3),
-            )
-            monkeypatch.setattr(harness, "build_cv_scenario", lambda *args: three_rows)
-            with pytest.raises(ValueError, match="measures 3 values"):
-                run_trials(cfg, "clset-kf", range(2))
+
+    def test_three_measurement_scenario_runs_every_filter(self, monkeypatch):
+        """Y and r0 are sized by the scenario, so a 3-measurement model runs all four filters."""
+        cv = build_cv_scenario(1.0, 500)
+        three_rows = ModelSpec(
+            n=4, m=3, F=cv.F, H=lambda k: np.eye(3, 4), trueQ=cv.trueQ,
+            trueR=lambda k: 100.0 * np.eye(3),
+        )
+        monkeypatch.setattr(harness, "build_cv_scenario", lambda *args: three_rows)
+        cfg = ExperimentConfig(**TINY)
+        fcfg = build_filter_config(cfg)
+        assert fcfg.trigger.Y.shape == fcfg.r0.shape == (3, 3)
+        for filter_id in FILTER_IDS:
+            records = run_trials(cfg, filter_id, range(2))
+            assert not any(r.failed for r in records), filter_id
+            assert all(np.isfinite(r.estimate).all() for r in records), filter_id
 
 
 def _synthetic_record(err, gamma, iters, n_step=4, n=2):
@@ -189,6 +195,16 @@ class TestRunSweep:
     def test_requires_sweep_settings(self):
         with pytest.raises(ValueError):
             run_sweep(ExperimentConfig(**TINY))
+
+    def test_zero_trigger_weight_is_a_grid_point(self):
+        """y = 0 is a valid y_scale, so it is a valid grid value; the sensor then never sends."""
+        cfg = ExperimentConfig(
+            n_mc=2, n_step=8, sweep_param="y", sweep_grid=(0.0, 0.05), filters=("clset-kf",)
+        )
+        rows = run_sweep(cfg)
+        assert [r.sweep_value for r in rows] == [0.0, 0.05]
+        assert rows[0].comm_rate == 0.0
+        assert rows[1].comm_rate > 0.0
 
     def test_rows_per_value_and_filter(self):
         cfg = ExperimentConfig(
@@ -267,8 +283,6 @@ class TestConfig:
             ExperimentConfig(filters=("etvbf", "bogus"))
         with pytest.raises(ValueError):
             ExperimentConfig(sweep_param="q")
-        with pytest.raises(ValueError):
-            ExperimentConfig(sweep_param="y", sweep_grid=(0.0,))
 
     @pytest.mark.parametrize(
         "bad",
@@ -283,6 +297,30 @@ class TestConfig:
         ],
     )
     def test_out_of_domain_tuning_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sweep_param": "rho", "sweep_grid": (0.9, 1.5)},
+            {"sweep_param": "r", "sweep_grid": (0.0,)},
+            {"sweep_param": "y", "sweep_grid": (-0.01,)},
+            {"sweep_grid": (0.01,)},
+            {"sample_time": 0.0},
+            {"cosine_period": 0},
+            {"clset_q_scale": -4.0},
+            {"clset_q_scale": 0.0},
+            {"base_seed": -1},
+        ],
+        ids=[
+            "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
+            "sample-time-zero", "cosine-period-zero", "clset-q-negative", "clset-q-zero",
+            "seed-negative",
+        ],
+    )
+    def test_rejected_when_built(self, bad):
+        """Every grid point is checked by its field's own rule, and no setting waits for a trial."""
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
@@ -359,3 +397,24 @@ class TestCli:
                     str(tmp_path / "x"),
                 ]
             )
+
+    def test_unknown_filter_names_the_valid_ids(self, tmp_path):
+        with pytest.raises(ValueError, match="bogus") as excinfo:
+            cli_main(
+                ["sweep", "--param", "y", "--grid", "0.01", "--filters", "bogus",
+                 "--out", str(tmp_path / "x")]
+            )
+        for filter_id in FILTER_IDS:
+            assert filter_id in str(excinfo.value)
+
+    def test_compare_takes_r_scale_from_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"r_scale": 10.0}))
+        out = tmp_path / "cmp"
+        code = cli_main(
+            ["compare", "--filters", "clset-kf", "--mc", "1", "--steps", "8",
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "cmp_manifest.json").read_text())
+        assert manifest["r_scale"] == 10.0
