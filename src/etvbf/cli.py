@@ -97,12 +97,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(
-        args,
-        sweep_param="y",
-        sweep_grid=(args.y,),
-        r_scale=args.r,
-        filters=_parse_filters(args.filters),
+        args, y_scale=args.y, r_scale=args.r, filters=_parse_filters(args.filters)
     )
+    cfg = dataclasses.replace(cfg, sweep_param="y", sweep_grid=(cfg.y_scale,))
     rows = run_sweep(cfg)
     print(f"{'filter':<12} {'rmse':>10} {'comm_rate':>10} {'mean_iter':>10} {'fail':>5}")
     for row in rows:
@@ -137,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="all filters at one (y, r) setting")
-    p_cmp.add_argument("--y", type=float, default=0.015, help="trigger scale factor")
+    p_cmp.add_argument("--y", type=float, help="trigger scale factor; default from the config")
     p_cmp.add_argument("--r", type=float, help="nominal noise scale; default from the config")
     p_cmp.add_argument("--filters", help="comma-separated filter ids")
     _add_common(p_cmp)

@@ -90,6 +90,11 @@ class ExperimentConfig:
         unknown = set(self.filters) - set(FILTER_IDS)
         if unknown:
             raise ValueError(f"unknown filter ids {sorted(unknown)}; choose from {FILTER_IDS}")
+        for name in ("filters", "sweep_grid"):
+            items = getattr(self, name)
+            repeated = sorted({v for v in items if items.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated}; each cell would run twice")
         if self.sweep_param is None and self.sweep_grid:
             raise ValueError("a sweep_grid needs a sweep_param")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
@@ -222,7 +227,8 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     The trials' states form one stack that each filter call steps at once.
     The initial estimate is drawn from the truth stream before the
     trajectory, so every filter starts from the same estimate and sees
-    the same truth; each trial draws its trigger decisions from its own
+    the same truth; the trajectories of all trials are simulated as one
+    stack, and each trial draws its trigger decisions from its own
     stream. A step that raises NotPositiveDefinite or Singular is retried
     one trial at a time: the trials that fail again are recorded failed at
     that step with the exception text, and the others go on. So every
@@ -236,16 +242,12 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     if not trial_indices:
         return []
     x0, p0, _ = scenario_defaults()
-    x0_hat, truth, measurements = [], [], []
-    for t in trial_indices:
-        truth_rng = SeededRng((cfg.base_seed, t))
-        x0_hat.append(sample_gaussian(truth_rng, x0, p0))
-        traj = simulate_truth(model, x0, cfg.n_step, truth_rng)
-        truth.append(traj.states)
-        measurements.append(traj.measurements)
-    truth, measurements = np.array(truth), np.array(measurements)
+    truth_rngs = [SeededRng((cfg.base_seed, t)) for t in trial_indices]
+    x0_hat = np.array([sample_gaussian(rng, x0, p0) for rng in truth_rngs])
+    traj = simulate_truth(model, x0, cfg.n_step, truth_rngs)
+    truth, measurements = traj.states, traj.measurements
     trig_rngs = [_trigger_stream(cfg, t, filter_id) for t in trial_indices]
-    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, np.array(x0_hat), p0)
+    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, x0_hat, p0)
 
     count = len(trial_indices)
     estimate = np.full((count, cfg.n_step, model.n), np.nan)

@@ -8,6 +8,7 @@ schedule, so the filter has to follow noise statistics it was never told.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,10 +40,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Jointly simulated ground truth and measurements for one trial."""
+    """Jointly simulated ground truth and measurements of one trial or a stack of B."""
 
-    states: np.ndarray  # (steps, n), row k-1 holds x_k
-    measurements: np.ndarray  # (steps, m), row k-1 holds z_k
+    states: np.ndarray  # (steps, n) or (B, steps, n); row k-1 holds x_k
+    measurements: np.ndarray  # (steps, m) or (B, steps, m); row k-1 holds z_k
 
 
 def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
@@ -83,30 +84,36 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
 
 
 def simulate_truth(
-    model: ModelSpec, x0: np.ndarray, steps: int, rng: SeededRng
+    model: ModelSpec, x0: np.ndarray, steps: int, rng: SeededRng | Sequence[SeededRng]
 ) -> Trajectory:
     """Simulate ground truth and measurements for steps k = 1..steps.
 
     The initial state x0 is deterministic; noise at step k uses the true
-    covariances evaluated at k. Per step the process noise is drawn
-    before the measurement noise, so the stream layout is reproducible;
-    all draws are taken at once and every covariance is factored in one
-    stacked Cholesky.
+    covariances evaluated at k, factored once in one stacked Cholesky. Per
+    step the process noise is drawn before the measurement noise, so the
+    stream layout is reproducible, and all of a stream's draws are taken
+    at once. For a stack of B trials, rng is a sequence of B streams, one
+    per row: each row draws from its own stream in row order, the arrays
+    gain a leading axis of B rows, and every row equals the trajectory its
+    stream gives alone. One stream is run as a one-row stack.
     """
     n, m = model.n, model.m
     ks = range(1, steps + 1)
     q_lower = spd_factor(np.array([model.trueQ(k) for k in ks])).lower
     r_lower = spd_factor(np.array([model.trueR(k) for k in ks])).lower
-    draws = rng.standard_normal(steps * (n + m)).reshape(steps, n + m)
-    w = np.matvec(q_lower, draws[:, :n])
-    v = np.matvec(r_lower, draws[:, n:])
+    single = isinstance(rng, SeededRng)
+    streams = [rng] if single else rng
+    draws = np.array([s.standard_normal(steps * (n + m)) for s in streams])
+    draws = draws.reshape(len(streams), steps, n + m)
+    # Each noise stack is overwritten in place by the x_k or z_k it enters.
+    states = np.matvec(q_lower, draws[..., :n])
+    measurements = np.matvec(r_lower, draws[..., n:])
     x = np.asarray(x0, dtype=float)
-    states = np.empty((steps, n))
-    measurements = np.empty((steps, m))
     for k in ks:
-        x = model.F(k) @ x + w[k - 1]
-        states[k - 1] = x
-        measurements[k - 1] = model.H(k) @ x + v[k - 1]
+        x = np.add(np.matvec(model.F(k), x), states[:, k - 1], out=states[:, k - 1])
+        np.add(np.matvec(model.H(k), x), measurements[:, k - 1], out=measurements[:, k - 1])
+    if single:
+        states, measurements = states[0], measurements[0]
     return Trajectory(states=states, measurements=measurements)
 
 

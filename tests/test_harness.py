@@ -19,7 +19,8 @@ from etvbf.harness import (
     run_trial,
     run_trials,
 )
-from etvbf.model import ModelSpec, build_cv_scenario
+from etvbf.distributions import SeededRng, sample_gaussian
+from etvbf.model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import NotPositiveDefinite
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
@@ -112,6 +113,42 @@ class TestLockstep:
         without = run_trials(cfg, "etvbf", [0, 1, 2, 4, 5])
         for got, expected in zip(records[:3] + records[4:], without):
             assert_same_record(got, expected)
+
+
+class TestTruth:
+    def test_each_trial_keeps_its_own_stream(self):
+        """A trial's truth is sample_gaussian, then simulate_truth, on its one stream."""
+        cfg = ExperimentConfig(**TINY)
+        model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
+        x0, p0, _ = scenario_defaults()
+        for record in run_trials(cfg, "clset-kf", [4, 0, 2]):
+            rng = SeededRng((cfg.base_seed, record.trial_index))
+            sample_gaussian(rng, x0, p0)
+            alone = simulate_truth(model, x0, cfg.n_step, rng)
+            assert np.array_equal(record.truth, alone.states)
+
+    def test_true_covariances_built_once_per_run(self, monkeypatch):
+        """All trials of a run share one truth simulation: n_step trueQ/trueR calls, not per trial."""
+        calls = {"trueQ": 0, "trueR": 0}
+
+        def counted(name, fn):
+            def wrapped(k):
+                calls[name] += 1
+                return fn(k)
+
+            return wrapped
+
+        def scenario(*args):
+            cv = build_cv_scenario(*args)
+            return dataclasses.replace(
+                cv, trueQ=counted("trueQ", cv.trueQ), trueR=counted("trueR", cv.trueR)
+            )
+
+        monkeypatch.setattr(harness, "build_cv_scenario", scenario)
+        cfg = ExperimentConfig(n_step=30, base_seed=3)
+        records = run_trials(cfg, "clset-kf", range(20))
+        assert len(records) == 20
+        assert calls == {"trueQ": cfg.n_step, "trueR": cfg.n_step}
 
 
 class TestDimensionChecks:
@@ -312,11 +349,13 @@ class TestConfig:
             {"clset_q_scale": -4.0},
             {"clset_q_scale": 0.0},
             {"base_seed": -1},
+            {"filters": ("clset-kf", "etvbf", "clset-kf")},
+            {"sweep_param": "y", "sweep_grid": (0.01, 0.05, 0.01)},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
             "sample-time-zero", "cosine-period-zero", "clset-q-negative", "clset-q-zero",
-            "seed-negative",
+            "seed-negative", "filter-repeated", "grid-value-repeated",
         ],
     )
     def test_rejected_when_built(self, bad):
@@ -418,3 +457,16 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "cmp_manifest.json").read_text())
         assert manifest["r_scale"] == 10.0
+
+    def test_compare_takes_y_scale_from_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"y_scale": 0.05}))
+        out = tmp_path / "cmp"
+        code = cli_main(
+            ["compare", "--filters", "clset-kf", "--mc", "1", "--steps", "8",
+             "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "cmp_manifest.json").read_text())
+        assert manifest["y_scale"] == 0.05
+        assert manifest["sweep_grid"] == [0.05]

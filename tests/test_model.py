@@ -110,3 +110,23 @@ class TestSimulateTruth:
         sample_cov = np.cov(residuals.T)
         true_q = model.trueQ(1)
         assert np.linalg.norm(sample_cov - true_q) < 0.10 * np.linalg.norm(true_q)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_stacked_rows_equal_single_calls(self, rows):
+        """Each row of a stack is bitwise its stream's single call, and leaves the stream there."""
+        model = build_cv_scenario(1.0, 500)
+        x0, _, _ = scenario_defaults()
+        keys = [(20240, t) for t in range(rows)]
+        streams = [SeededRng(key) for key in keys]
+        stack = simulate_truth(model, x0, 25, streams)
+        assert stack.states.shape == (rows, 25, model.n)
+        assert stack.measurements.shape == (rows, 25, model.m)
+        for key, stream, states, measurements in zip(
+            keys, streams, stack.states, stack.measurements
+        ):
+            alone_rng = SeededRng(key)
+            alone = simulate_truth(model, x0, 25, alone_rng)
+            assert alone.states.shape == (25, model.n)
+            assert np.array_equal(states, alone.states)
+            assert np.array_equal(measurements, alone.measurements)
+            assert stream.uniform() == alone_rng.uniform()
