@@ -3,26 +3,28 @@
 One filter step runs a prediction, then a fixed-point sweep loop that
 alternately refines the state, the predicted error covariance (as an
 inverse-Wishart posterior over a bank of nominal process noise
-covariances), the measurement noise covariance, and the mixture weights,
-for either trigger branch. The no-measurement branch still extracts
-information from the fact that the innovation was small enough to stay
-below the stochastic trigger. The two branch updates, kalman_update and
-silent_update, are plain functions of a predicted covariance that the
-known-covariance Kalman baselines reuse.
+covariances), the measurement noise covariance, and the mixture weights.
+The trigger outcome decides one thing per sweep: the branch update leaves
+the state x, its covariance P and the measurement scatter
+B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
+no-measurement branch still extracts information from the fact that the
+innovation was small enough to stay below the stochastic trigger. The two
+branch updates, kalman_update and silent_update, are plain functions of a
+predicted covariance that the known-covariance Kalman baselines reuse.
 
 Every function takes one filter state, or a stack of B of them along a
 leading trial axis (x_hat of shape (B, n), P of shape (B, n, n), s of
 shape (B,), and so on). etvbf_step runs one sweep loop for both: a single
 state goes through it as it is, not as a stack of one. A stack is stepped
 in lockstep: rows that converge leave the sweep loop, and rows with
-different trigger outcomes share every update except the branch-dependent
-ones.
+different trigger outcomes share every update except the branch update.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +81,20 @@ class FilterConfig:
         object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
         object.__setattr__(self, "alpha0", np.asarray(self.alpha0, dtype=float))
         m_size, n = self.nominal_q.shape[:2]
-        if self.dof_g.shape != (m_size,) or np.any(self.dof_g <= n - 1):
+        if self.dof_g.shape != (m_size,) or not np.all(self.dof_g > n - 1):
             raise ValueError("dof_g must hold one dof above n - 1 per nominal covariance")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
         if not self.s0 > 0.0:
             raise ValueError("s0 must be positive")
-        if self.alpha0.shape != (m_size,) or np.any(self.alpha0 <= 0):
+        if self.alpha0.shape != (m_size,) or not np.all(self.alpha0 > 0):
             raise ValueError("alpha0 must hold one positive value per nominal covariance")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,7 @@ class IterationState:
     alpha: np.ndarray
     p_tilde: np.ndarray  # G / g, the working predicted covariance
     r_tilde: np.ndarray  # S / s, the working measurement covariance
-    Pxz: np.ndarray | None = None  # gamma = 0 branch only
-    Pzz: np.ndarray | None = None  # gamma = 0 branch only
+    B: np.ndarray | None = None  # scatter E{(z - Hx)(z - Hx)^T}, set by the branch update
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,16 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
 
     A stack of B initial estimates x0_hat of shape (B, n) gives a stack of
     B states that share p0. Raises ValueError when x0_hat or p0 does not
-    match the dimension n of the nominal covariance bank.
+    match the dimension n of the nominal covariance bank, or when p0 is not
+    a finite symmetric positive definite matrix.
     """
     x0_hat = np.asarray(x0_hat, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
     n = cfg.nominal_q.shape[-1]
-    if x0_hat.ndim < 1 or x0_hat.shape[-1] != n or p0.shape != (n, n):
+    if x0_hat.ndim < 1 or x0_hat.shape[-1] != n or np.shape(p0) != (n, n):
         raise ValueError(
-            f"x0_hat {x0_hat.shape} and p0 {p0.shape} must match the nominal_q dimension {n}"
+            f"x0_hat {x0_hat.shape} and p0 {np.shape(p0)} must match the nominal_q dimension {n}"
         )
+    p0 = require_spd(p0, "p0")
     rows = x0_hat.shape[:-1]
     return FilterState(
         x_hat=x0_hat,
@@ -239,7 +241,7 @@ def kalman_update(
 def silent_update(
     p_pred: np.ndarray, H: np.ndarray, R: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """No-transmission branch: joint state/measurement covariance blocks (P, Pxz, Pzz).
+    """No-transmission branch: the state, cross and measurement covariance blocks.
 
     With the measurement withheld, the state and the unseen measurement
     stay jointly Gaussian; the trigger contributes Y as extra information
@@ -266,8 +268,10 @@ def update_joint_no_meas(
     it: IterationState, x_pred: np.ndarray, H: np.ndarray, Y: np.ndarray
 ) -> None:
     """No-transmission branch with the working covariances (see silent_update)."""
-    it.P, it.Pxz, it.Pzz = silent_update(it.p_tilde, H, it.r_tilde, Y)
+    it.P, p_xz, p_zz = silent_update(it.p_tilde, H, it.r_tilde, Y)
     it.x = x_pred.copy()
+    hp_xz = H @ p_xz
+    it.B = H @ it.P @ H.T - hp_xz.mT - hp_xz + p_zz
 
 
 def update_state_meas(
@@ -275,40 +279,23 @@ def update_state_meas(
 ) -> None:
     """Transmission branch: standard gain update with the working covariances."""
     it.x, it.P = kalman_update(x_pred, it.p_tilde, z, H, it.r_tilde)
-    it.Pxz = None
-    it.Pzz = None
+    residual = z - np.matvec(H, it.x)
+    it.B = residual[..., :, None] * residual[..., None, :] + H @ it.P @ H.T
 
 
-def update_predicted_cov(
-    it: IterationState, x_pred: np.ndarray, cfg: FilterConfig, pred: Prediction
-) -> None:
+def update_predicted_cov(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
     """Refresh the inverse-Wishart posterior over the predicted covariance."""
-    shift = it.x - x_pred
+    shift = it.x - pred.x_pred
     a_mat = it.P + shift[..., :, None] * shift[..., None, :]
     it.g = np.vecdot(it.chi, cfg.dof_g) + 1.0
     it.G = symmetrize((it.chi[..., None, None] * pred.G_j).sum(axis=-3) + a_mat)
     it.p_tilde = it.G / _per_matrix(it.g)
 
 
-def update_meas_cov(
-    it: IterationState,
-    gamma: int,
-    z: np.ndarray | None,
-    H: np.ndarray,
-    pred: Prediction,
-) -> None:
-    """Refresh the inverse-Wishart posterior over the measurement covariance.
-
-    gamma is the trigger outcome shared by every row of it.
-    """
-    if gamma == 1:
-        residual = z - np.matvec(H, it.x)
-        b_mat = residual[..., :, None] * residual[..., None, :] + H @ it.P @ H.T
-    else:
-        hp_xz = H @ it.Pxz
-        b_mat = H @ it.P @ H.T - hp_xz.mT - hp_xz + it.Pzz
+def update_meas_cov(it: IterationState, pred: Prediction) -> None:
+    """Refresh the inverse-Wishart posterior over the measurement covariance from it.B."""
     it.s = pred.s_prior + 1.0
-    it.S = symmetrize(pred.S_prior + b_mat)
+    it.S = symmetrize(pred.S_prior + it.B)
     it.r_tilde = it.S / _per_matrix(it.s)
 
 
@@ -350,31 +337,37 @@ def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
     return np.sqrt(np.vecdot(step, step)) <= tol * np.sqrt(np.vecdot(x_old, x_old))
 
 
+def _merge(parts, size: int) -> np.ndarray:
+    """One array of size rows holding the values of each (rows, values) pair at its rows."""
+    first = parts[0][1]
+    merged = np.empty((size,) + first.shape[1:], dtype=first.dtype)
+    for rows, values in parts:
+        merged[rows] = values
+    return merged
+
+
+# Fields of IterationState that the branch update sets.
+_BRANCH_FIELDS = ("x", "P", "B")
+
+
 def _branch_sweep(
-    it: IterationState, pred: Prediction, gamma: int, z, H: np.ndarray, cfg: FilterConfig
+    it: IterationState, sent, x_pred: np.ndarray, z, H: np.ndarray, cfg: FilterConfig
 ) -> None:
-    """The trigger-dependent half of a sweep, for rows that share gamma."""
-    if gamma == 0:
-        update_joint_no_meas(it, pred.x_pred, H, cfg.trigger.Y)
+    """The trigger-dependent half of a sweep: x, P and B of each row from its own branch."""
+    if sent.all():
+        update_state_meas(it, x_pred, z, H)
+    elif not sent.any():
+        update_joint_no_meas(it, x_pred, H, cfg.trigger.Y)
     else:
-        update_state_meas(it, pred.x_pred, z, H)
-    update_meas_cov(it, gamma, z, H, pred)
+        silent = ~sent
+        sent_it, silent_it = take_rows(it, sent), take_rows(it, silent)
+        update_state_meas(sent_it, x_pred[sent], z[sent], H)
+        update_joint_no_meas(silent_it, x_pred[silent], H, cfg.trigger.Y)
+        for field in _BRANCH_FIELDS:
+            parts = [(sent, getattr(sent_it, field)), (silent, getattr(silent_it, field))]
+            setattr(it, field, _merge(parts, sent.size))
 
 
-def _branches(gamma: np.ndarray, z, pred: Prediction, mixed: bool) -> list:
-    """(gamma, per-step constants, measurements, rows) of each trigger branch: two slices
-    of a mixed stack sorted silent first, else the whole stack or the single state."""
-    if not mixed:
-        return [(gamma.item(0), pred, z, None)]
-    silent = int(np.count_nonzero(gamma == 0))
-    return [
-        (g, take_rows(pred, part), z[part], part)
-        for g, part in ((0, slice(None, silent)), (1, slice(silent, None)))
-    ]
-
-
-# Fields of IterationState that the trigger-dependent half of a sweep sets.
-_BRANCH_FIELDS = ("x", "P", "s", "S", "r_tilde")
 # Fields of IterationState that a row's last sweep leaves as the step's results.
 _RESULT_FIELDS = ("x", "P", "s", "S", "alpha", "p_tilde", "r_tilde", "chi")
 
@@ -391,35 +384,21 @@ def etvbf_step(
     A single state and a stack, which takes an outcome with one gamma per
     row, run the same sweep loop. Each row sweeps until it converges and
     then leaves the loop, so its result is exactly what stepping it alone
-    would give. Rows that take both trigger branches are sorted silent
-    first; the per-branch constants are re-indexed only when rows leave. A
-    gamma not shaped like the state's rows raises ValueError.
+    would give. A gamma not shaped like the state's rows raises ValueError.
     """
     gamma, z = np.asarray(outcome.gamma), outcome.measurement
     if gamma.shape != np.shape(state.s):
         raise ValueError(f"outcome gamma {gamma.shape} and state rows {np.shape(state.s)} differ")
-    rows = None  # the input row of each row still sweeping, once rows move
-    mixed = 0 < np.count_nonzero(gamma) < gamma.size  # never for a single state
-    if mixed:
-        rows = np.argsort(gamma, kind="stable")
-        gamma, z, state = gamma[rows], z[rows], take_rows(state, rows)
+    sent = gamma == 1
     pred = predict(state, F, cfg)
     it = init_iteration(pred, cfg)
-    branches = _branches(gamma, z, pred, mixed)
+    rows = None  # the input row of each row still sweeping, once rows leave
     left = []  # (input rows, sweeps, result fields) of the rows that left the loop
     x_prev = it.x  # the updates rebind it.x and never write into it
     for sweep in range(1, cfg.max_iterations + 1):
-        if len(branches) == 1:
-            _branch_sweep(it, pred, branches[0][0], z, H, cfg)
-        else:
-            parts = []
-            for g, part_pred, part_z, part in branches:
-                parts.append(take_rows(it, part))
-                _branch_sweep(parts[-1], part_pred, g, part_z, H, cfg)
-            for field in _BRANCH_FIELDS:
-                setattr(it, field, np.concatenate([getattr(p, field) for p in parts]))
-            it.Pxz = it.Pzz = None
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        _branch_sweep(it, sent, pred.x_pred, z, H, cfg)
+        update_meas_cov(it, pred)
+        update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
         done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
         stopped = np.count_nonzero(done)  # a single state's 0-d flag stops all rows or none
@@ -430,23 +409,16 @@ def etvbf_step(
                 rows = np.arange(done.size)
             left.append((rows[done], sweep, {f: getattr(it, f)[done] for f in _RESULT_FIELDS}))
             keep = ~done
-            rows, gamma, z = rows[keep], gamma[keep], z[keep]
+            rows, sent, z = rows[keep], sent[keep], z[keep]
             it, pred = take_rows(it, keep), take_rows(pred, keep)
-            branches = _branches(gamma, z, pred, gamma[0] != gamma[-1])  # still sorted
         x_prev = it.x
     final = {f: getattr(it, f) for f in _RESULT_FIELDS}
     if rows is None:
         iterations = sweep + np.zeros(gamma.shape, dtype=int)  # a numpy integer for a single state
-    else:  # rows were sorted or left early: put them back in input order
+    else:  # rows left early: put each back at its input row
         left.append((rows, sweep, final))
-        order = np.argsort(np.concatenate([r for r, _, _ in left]))
-        iterations = np.concatenate([np.full(r.size, s) for r, s, _ in left])[order]
-        final = {f: np.concatenate([p[f] for _, _, p in left])[order] for f in _RESULT_FIELDS}
-    new_state = FilterState(
-        x_hat=final["x"], P=final["P"], s=final["s"], S=final["S"], alpha=final["alpha"]
-    )
-    diagnostics = StepDiagnostics(
-        iterations=iterations, p_tilde=final["p_tilde"], r_tilde=final["r_tilde"],
-        chi=final["chi"],
-    )
+        iterations = _merge([(r, np.full(r.size, s)) for r, s, _ in left], gamma.size)
+        final = {f: _merge([(r, p[f]) for r, _, p in left], gamma.size) for f in _RESULT_FIELDS}
+    new_state = FilterState(final["x"], final["P"], final["s"], final["S"], final["alpha"])
+    diagnostics = StepDiagnostics(iterations, final["p_tilde"], final["r_tilde"], final["chi"])
     return new_state, diagnostics

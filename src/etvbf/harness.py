@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -83,10 +84,15 @@ class ExperimentConfig:
         object.__setattr__(
             self, "nominal_q_scales", tuple(float(v) for v in self.nominal_q_scales)
         )
+        counts = (self.n_mc, self.n_step, self.base_seed)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ValueError("n_mc, n_step and base_seed must be integers")
         if self.n_mc < 1 or self.n_step < 1:
             raise ValueError("n_mc and n_step must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
+        if not self.filters:
+            raise ValueError(f"filters must name at least one of {FILTER_IDS}")
         unknown = set(self.filters) - set(FILTER_IDS)
         if unknown:
             raise ValueError(f"unknown filter ids {sorted(unknown)}; choose from {FILTER_IDS}")

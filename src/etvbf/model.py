@@ -54,9 +54,9 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
     continuous-white-noise-acceleration block, and the true measurement
     noise is (100 + 50 cos(pi k / T_f)) times a 0.5-correlated 2x2 matrix.
     """
-    if sample_time <= 0.0:
+    if not sample_time > 0.0:
         raise ValueError("sample_time must be positive")
-    if cosine_period <= 0:
+    if not cosine_period > 0:
         raise ValueError("cosine_period must be positive")
     t = float(sample_time)
     eye2 = np.eye(2)

@@ -17,6 +17,7 @@ from etvbf.filter import (
     init_iteration,
     initial_state,
     predict,
+    silent_update,
     update_joint_no_meas,
     update_meas_cov,
     update_mixture,
@@ -191,10 +192,13 @@ def scalar_iteration(p_tilde=1.0, r_tilde=1.0):
 class TestJointUpdateNoMeasurement:
     def test_scalar_reference(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
+        _, p_xz, p_zz = silent_update(it.p_tilde, np.eye(1), it.r_tilde, np.eye(1))
         update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
         assert it.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert it.Pzz[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert it.Pxz[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert p_zz[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert p_xz[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        # B = P - 2 Pxz + Pzz = 2/3 - 2/3 + 2/3
+        assert it.B[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_vanishing_trigger_information(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
@@ -216,11 +220,18 @@ class TestJointUpdateNoMeasurement:
             it.r_tilde = random_spd(rng, m)
             h = rng.standard_normal((m, n))
             y = random_spd(rng, m, scale=0.5)
+            _, p_xz, p_zz = silent_update(it.p_tilde, h, it.r_tilde, y)
             update_joint_no_meas(it, np.zeros(n), h, y)
             theta = dense_theta(it.p_tilde, it.r_tilde, h, y)
             assert np.linalg.norm(it.P - theta[:n, :n]) < 1e-9
-            assert np.linalg.norm(it.Pxz - theta[:n, n:]) < 1e-9
-            assert np.linalg.norm(it.Pzz - theta[n:, n:]) < 1e-9
+            assert np.linalg.norm(p_xz - theta[:n, n:]) < 1e-9
+            assert np.linalg.norm(p_zz - theta[n:, n:]) < 1e-9
+            # E{(z - Hx)(z - Hx)^T} of the dense joint covariance
+            scatter = (
+                h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
+                + theta[n:, n:]
+            )
+            assert np.linalg.norm(it.B - scatter) < 1e-9
 
     def test_state_pinned_to_prediction(self):
         it = scalar_iteration()
@@ -258,7 +269,7 @@ class TestPredictedCovarianceUpdate:
         it = init_iteration(pred, cfg)
         update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
         p_before = it.P.copy()
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         assert it.g == pytest.approx(11.0)
         expected_g = sum(0.2 * g for g in pred.G_j) + p_before
         assert np.allclose(it.G, expected_g, atol=1e-12)
@@ -272,7 +283,7 @@ class TestPredictedCovarianceUpdate:
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
         update_state_meas(it, pred.x_pred, np.array([2.0, 0.0]), np.eye(2))
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         chi = it.chi
         shift = it.x - pred.x_pred
         a_mat = it.P + np.outer(shift, shift)
@@ -286,15 +297,18 @@ class TestPredictedCovarianceUpdate:
 
 class TestMeasurementCovarianceUpdate:
     def test_transmitted_zero_residual(self):
-        it = scalar_iteration()
+        it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
         cfg = scalar_config(q_scales=(1.0,))
         state = FilterState(
             x_hat=np.zeros(1), P=np.eye(1), s=5.0, S=5.0 * np.eye(1), alpha=np.ones(1)
         )
         pred = predict(state, np.eye(1), cfg)
-        it.x = np.array([2.0])
-        it.P = np.array([[0.5]])
-        update_meas_cov(it, 1, np.array([2.0]), np.eye(1), pred)
+        # z = x_pred = 2 leaves x at 2 with P = 0.5, so B = 0^2 + 0.5.
+        update_state_meas(it, np.array([2.0]), np.array([2.0]), np.eye(1))
+        assert it.x[0] == pytest.approx(2.0)
+        assert it.P[0, 0] == pytest.approx(0.5)
+        assert it.B[0, 0] == pytest.approx(0.5)
+        update_meas_cov(it, pred)
         assert it.S[0, 0] == pytest.approx(pred.S_prior[0, 0] + 0.5)
         assert it.s == pytest.approx(pred.s_prior + 1.0)
 
@@ -308,7 +322,7 @@ class TestMeasurementCovarianceUpdate:
         it.p_tilde = np.eye(1)
         it.r_tilde = np.eye(1)
         update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
-        update_meas_cov(it, 0, None, np.eye(1), pred)
+        update_meas_cov(it, pred)
         # B = 2/3 - 2/3 + 2/3
         assert it.S[0, 0] == pytest.approx(pred.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
 
@@ -321,7 +335,7 @@ class TestMeasurementCovarianceUpdate:
         it = init_iteration(pred, cfg)
         for _ in range(4):
             update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
-            update_meas_cov(it, 0, None, np.eye(1), pred)
+            update_meas_cov(it, pred)
             assert it.s == pytest.approx(pred.s_prior + 1.0)
 
 
@@ -334,7 +348,7 @@ class TestMixtureUpdate:
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
         update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
         assert np.allclose(it.chi, [1.0])
         assert np.allclose(it.alpha, pred.alpha_prior + 1.0)
@@ -347,7 +361,7 @@ class TestMixtureUpdate:
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
         update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
         assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
 
@@ -360,7 +374,7 @@ class TestMixtureUpdate:
         pred = predict(state, np.eye(1), cfg)
         it = init_iteration(pred, cfg)
         update_state_meas(it, pred.x_pred, np.array([1.5]), np.eye(1))
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         alpha_before = it.alpha.copy()
         update_mixture(it, pred, cfg)
 
@@ -404,7 +418,7 @@ class TestMixtureUpdate:
         pred = predict(state, f_mat, cfg)
         it = init_iteration(pred, cfg)
         update_state_meas(it, pred.x_pred, h_mat @ pred.x_pred + np.array([3.0, -2.0]), h_mat)
-        update_predicted_cov(it, pred.x_pred, cfg, pred)
+        update_predicted_cov(it, pred, cfg)
         alpha_before = it.alpha.copy()
         update_mixture(it, pred, cfg)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -152,15 +153,21 @@ class TestTruth:
 
 
 class TestDimensionChecks:
-    @pytest.mark.parametrize("case", ["x0_hat", "p0"])
-    def test_mismatch_rejected_before_first_step(self, case):
+    @pytest.mark.parametrize(
+        "x0_hat, p0, match",
+        [
+            (np.zeros(3), np.eye(4), "nominal_q dimension"),
+            (np.zeros((2, 4)), np.eye(5), "nominal_q dimension"),
+            (np.zeros(4), np.eye(4) + np.triu(np.ones((4, 4)), 1), "p0 must be symmetric"),
+            (np.zeros((2, 4)), np.diag([1.0, 1.0, 1.0, -1.0]), "p0 must be positive definite"),
+            (np.zeros(4), np.full((4, 4), np.nan), "p0 contains non-finite"),
+        ],
+        ids=["x0_hat", "p0", "p0-asymmetric", "p0-indefinite", "p0-nan"],
+    )
+    def test_mismatch_rejected_before_first_step(self, x0_hat, p0, match):
         fcfg = build_filter_config(ExperimentConfig(**TINY))
-        if case == "x0_hat":
-            with pytest.raises(ValueError, match="nominal_q dimension"):
-                initial_state(np.zeros(3), np.eye(4), fcfg)
-        else:
-            with pytest.raises(ValueError, match="nominal_q dimension"):
-                initial_state(np.zeros((2, 4)), np.eye(5), fcfg)
+        with pytest.raises(ValueError, match=match):
+            initial_state(x0_hat, p0, fcfg)
 
     def test_three_measurement_scenario_runs_every_filter(self, monkeypatch):
         """Y and r0 are sized by the scenario, so a 3-measurement model runs all four filters."""
@@ -351,11 +358,23 @@ class TestConfig:
             {"base_seed": -1},
             {"filters": ("clset-kf", "etvbf", "clset-kf")},
             {"sweep_param": "y", "sweep_grid": (0.01, 0.05, 0.01)},
+            {"tol": math.nan},
+            {"dof_g": math.nan},
+            {"alpha0": math.nan},
+            {"sample_time": math.nan},
+            {"cosine_period": math.nan},
+            {"n_mc": 2.5},
+            {"n_step": 2.5},
+            {"max_iterations": 2.5},
+            {"base_seed": 1.5},
+            {"filters": ()},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
             "sample-time-zero", "cosine-period-zero", "clset-q-negative", "clset-q-zero",
-            "seed-negative", "filter-repeated", "grid-value-repeated",
+            "seed-negative", "filter-repeated", "grid-value-repeated", "tol-nan", "dof-g-nan",
+            "alpha0-nan", "sample-time-nan", "cosine-period-nan", "n-mc-fraction",
+            "n-step-fraction", "max-iterations-fraction", "seed-fraction", "filters-empty",
         ],
     )
     def test_rejected_when_built(self, bad):
