@@ -22,7 +22,6 @@ different trigger outcomes share every update except the branch update.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -174,14 +173,7 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
 
 def take_rows(stack, rows):
     """The same dataclass holding the given rows of every array field of a stack."""
-    return dataclasses.replace(
-        stack,
-        **{
-            f.name: value[rows]
-            for f in dataclasses.fields(stack)
-            if (value := getattr(stack, f.name)) is not None
-        },
-    )
+    return type(stack)(**{k: v if v is None else v[rows] for k, v in vars(stack).items()})
 
 
 def _per_matrix(v) -> np.ndarray:
@@ -252,15 +244,15 @@ def silent_update(
     small trigger weights used in practice). The estimate stays at the
     prediction.
     """
-    m = Y.shape[0]
+    m, n = H.shape
     ph_t = p_pred @ H.T
     c = symmetrize(H @ ph_t) + R
     gain_core = np.eye(m) + Y @ c
     try:
-        p_xz = np.linalg.solve(gain_core.mT, ph_t.mT).mT
-        p_zz = symmetrize(np.linalg.solve(gain_core.mT, c))
+        solved = np.linalg.solve(gain_core.mT, np.concatenate([ph_t.mT, c], axis=-1))
     except np.linalg.LinAlgError as exc:
         raise Singular("trigger-augmented innovation matrix is singular") from exc
+    p_xz, p_zz = solved[..., :n].mT, symmetrize(solved[..., n:])
     return symmetrize(p_pred - p_xz @ Y @ ph_t.mT), p_xz, p_zz
 
 

@@ -3,7 +3,11 @@
 All matrices handled here are small (dimension <= 6 in practice), so every
 routine works on plain dense ndarrays, the SPD ones also on (M, n, n) stacks.
 Positive definiteness failures are never masked with jitter: they signal a
-real breakdown of the filter iteration and must propagate.
+real breakdown of the filter iteration and must propagate. spd_factor
+factors finite, exactly symmetric input as it is, which is what the filter
+builds, and checks any other input's symmetry to a tolerance first; it
+rejects the same inputs either way. A factor's solve and inverse go through
+one explicit inverse of the triangular factor.
 """
 
 from __future__ import annotations
@@ -116,27 +120,35 @@ class SpdFactor:
         return 2.0 * np.sum(np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)), axis=-1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs for the factored matrix M."""
-        y = np.linalg.solve(self.lower, rhs)
-        return np.linalg.solve(self.lower.mT, y)
+        """Solve M x = rhs for the factored matrix M = L L^T, as L^{-T} (L^{-1} rhs)."""
+        inv_lower = np.linalg.inv(self.lower)
+        return inv_lower.mT @ (inv_lower @ rhs)
 
     def inverse(self) -> np.ndarray:
-        """Explicit SPD inverse of the factored matrix."""
-        return symmetrize(self.solve(np.eye(self.lower.shape[-1])))
+        """Explicit SPD inverse L^{-T} L^{-1} of the factored matrix, exactly symmetric."""
+        inv_lower = np.linalg.inv(self.lower)
+        return symmetrize(inv_lower.mT @ inv_lower)
 
 
 def spd_factor(m: np.ndarray) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix, or a stack of them.
 
-    The input is symmetrized before factorization; asymmetry beyond
-    roundoff level is rejected as require_spd does. Raises
-    NotPositiveDefinite when any matrix has a nonpositive pivot, which for
-    the filter iterates means a numerical-stability violation.
+    Nonempty, finite, exactly symmetric input (m == m^T bitwise, as every
+    matrix the filter builds is) is factored as it is, with no tolerance
+    check. Any other input is checked as require_spd does, non-square,
+    non-finite or asymmetric beyond roundoff level raising ValueError, and
+    symmetrized before factorization. Raises NotPositiveDefinite when any
+    matrix has a nonpositive pivot, which for the filter iterates means a
+    numerical-stability violation.
     """
     m = np.asarray(m, dtype=float)
-    _symmetric_scale(m, "matrix")
+    nonempty_square = m.size > 0 and m.ndim >= 2 and m.shape[-1] == m.shape[-2]
+    # symmetrize would return exactly symmetric input unchanged: 0.5 (a + a) = a.
+    if not (nonempty_square and np.isfinite(m).all() and (m == m.mT).all()):
+        _symmetric_scale(m, "matrix")
+        m = symmetrize(m)
     try:
-        lower = np.linalg.cholesky(symmetrize(m))
+        lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(lower=lower)

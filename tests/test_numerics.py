@@ -10,6 +10,7 @@ from etvbf.numerics import (
     digamma,
     log_multivariate_gamma,
     spd_factor,
+    symmetrize,
 )
 from helpers import block_inverse, multivariate_digamma, random_spd
 
@@ -153,6 +154,86 @@ class TestSpdFactor:
         b = rng.standard_normal((5, 2))
         x = spd_factor(m).solve(b)
         assert np.allclose(m @ x, b, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        """A symmetric matrix, and a stack member, holding a non-finite entry."""
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        stack = np.stack([np.eye(3), m])
+        for value in (m, stack):
+            with pytest.raises(ValueError, match="non-finite"):
+                spd_factor(value)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_not_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            spd_factor(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError):
+            spd_factor(np.ones(shape))
+
+    def test_stack_with_one_asymmetric_member_rejected(self):
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_spd(rng, 3) for _ in range(3)])
+        stack[1, 0, 2] += 1e-6 * np.abs(stack[1]).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_factor(stack)
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        rng = np.random.default_rng(18)
+        m = random_spd(rng, 4)
+        m[0, 3] += 1e-12 * np.abs(m).max()
+        assert not np.array_equal(m, m.T)
+        lower = spd_factor(m).lower
+        assert np.array_equal(lower, np.linalg.cholesky(symmetrize(m)))
+
+    def test_exactly_symmetric_stack_factored_as_is(self):
+        rng = np.random.default_rng(19)
+        stack = np.stack([symmetrize(random_spd(rng, 5)) for _ in range(4)])
+        assert np.array_equal(spd_factor(stack).lower, np.linalg.cholesky(stack))
+
+
+def _spd_with_condition(rng, dim: int, cond: float) -> np.ndarray:
+    """Exactly symmetric SPD matrix with eigenvalues spread geometrically over [1/cond, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return symmetrize((q * np.geomspace(1.0, 1.0 / cond, dim)) @ q.T)
+
+
+class TestSpdFactorSolveAndInverse:
+    """solve and inverse go through the explicit inverse of the Cholesky factor."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_residuals(self, dim, cond):
+        """||M X - B|| <= 20 n eps ||M|| ||X||; ||M M^-1 - I|| <= 20 n cond eps."""
+        rng = np.random.default_rng(100 * dim + int(math.log10(cond)))
+        for _ in range(20):
+            m = _spd_with_condition(rng, dim, cond) * 10.0 ** rng.uniform(-3, 3)
+            factor = spd_factor(m)
+            b = rng.standard_normal((dim, 3))
+            x = factor.solve(b)
+            residual = np.linalg.norm(m @ x - b)
+            assert residual <= 20 * dim * self.EPS * np.linalg.norm(m) * np.linalg.norm(x)
+            inv = factor.inverse()
+            assert np.linalg.norm(m @ inv - np.eye(dim)) <= 20 * dim * cond * self.EPS
+            assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_stack_members_bitwise_equal_single_calls(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        stack = np.stack([_spd_with_condition(rng, dim, c) for c in (1.0, 1e2, 1e4, 1e6, 1e8)])
+        rhs = rng.standard_normal((5, 2, dim)).mT  # a transposed view, as kalman_update passes
+        stacked = spd_factor(stack)
+        solved, inverses = stacked.solve(rhs), stacked.inverse()
+        for i, m in enumerate(stack):
+            single = spd_factor(m)
+            assert np.array_equal(solved[i], single.solve(rhs[i]))
+            assert np.array_equal(inverses[i], single.inverse())
 
 
 class TestBlockInverse:
