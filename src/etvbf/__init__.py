@@ -1,6 +1,6 @@
 """Event-triggered adaptive variational filtering and its benchmark harness."""
 
-from .baselines import KfState, clset_kf_step, kf_oracle_step
+from .baselines import KfState, clset_kf_step
 from .filter import (
     FilterConfig,
     FilterState,
@@ -41,7 +41,6 @@ __all__ = [
     "emit_outputs",
     "etvbf_step",
     "initial_state",
-    "kf_oracle_step",
     "run_sweep",
     "run_trial",
     "run_trials",

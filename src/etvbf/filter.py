@@ -4,20 +4,22 @@ One filter step runs a prediction, then a fixed-point sweep loop that
 alternately refines the state, the predicted error covariance (as an
 inverse-Wishart posterior over a bank of nominal process noise
 covariances), the measurement noise covariance, and the mixture weights.
-The trigger outcome decides one thing per sweep: the branch update leaves
+The trigger outcome decides one thing per sweep: the branch update gives
 the state x, its covariance P and the measurement scatter
 B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
 no-measurement branch still extracts information from the fact that the
-innovation was small enough to stay below the stochastic trigger. The two
-branch updates, kalman_update and silent_update, are plain functions of a
-predicted covariance that the known-covariance Kalman baselines reuse.
+innovation was small enough to stay below the stochastic trigger. by_branch
+is the one place that splits rows by trigger outcome, here and in the
+known-covariance Kalman baselines, which reuse kalman_update and
+silent_update, plain functions of a predicted covariance.
 
 Every function takes one filter state, or a stack of B of them along a
 leading trial axis (x_hat of shape (B, n), P of shape (B, n, n), s of
 shape (B,), and so on). etvbf_step runs one sweep loop for both: a single
 state goes through it as it is, not as a stack of one. A stack is stepped
-in lockstep: rows that converge leave the sweep loop, and rows with
-different trigger outcomes share every update except the branch update.
+in lockstep: rows that converge leave the sweep loop and are written into
+the step's results, and rows with different trigger outcomes share every
+update except the branch update.
 """
 
 from __future__ import annotations
@@ -256,23 +258,43 @@ def silent_update(
     return symmetrize(p_pred - p_xz @ Y @ ph_t.mT), p_xz, p_zz
 
 
+def by_branch(sent, transmit, silent):
+    """Each row's results from its own trigger branch: transmit where sent, silent elsewhere.
+
+    transmit and silent map a row selector to a tuple of arrays with one
+    leading entry per selected row. When every row takes one branch, that
+    branch runs once on all of them, selected by ... with no gather, so a
+    single state stays unstacked; a mixed stack runs each branch on its
+    rows and scatters the results back by mask.
+    """
+    if sent.all():
+        return transmit(...)
+    if not sent.any():
+        return silent(...)
+    unsent, merged = ~sent, []
+    for sent_part, silent_part in zip(transmit(sent), silent(unsent)):
+        out = np.empty(sent.shape + sent_part.shape[1:], dtype=sent_part.dtype)
+        out[sent], out[unsent] = sent_part, silent_part
+        merged.append(out)
+    return tuple(merged)
+
+
 def update_joint_no_meas(
-    it: IterationState, x_pred: np.ndarray, H: np.ndarray, Y: np.ndarray
-) -> None:
-    """No-transmission branch with the working covariances (see silent_update)."""
-    it.P, p_xz, p_zz = silent_update(it.p_tilde, H, it.r_tilde, Y)
-    it.x = x_pred.copy()
+    x_pred: np.ndarray, p_tilde: np.ndarray, r_tilde: np.ndarray, H: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """No-transmission branch with the working covariances: (x, P, B), see silent_update."""
+    P, p_xz, p_zz = silent_update(p_tilde, H, r_tilde, Y)
     hp_xz = H @ p_xz
-    it.B = H @ it.P @ H.T - hp_xz.mT - hp_xz + p_zz
+    return x_pred.copy(), P, H @ P @ H.T - hp_xz.mT - hp_xz + p_zz
 
 
 def update_state_meas(
-    it: IterationState, x_pred: np.ndarray, z: np.ndarray, H: np.ndarray
-) -> None:
-    """Transmission branch: standard gain update with the working covariances."""
-    it.x, it.P = kalman_update(x_pred, it.p_tilde, z, H, it.r_tilde)
-    residual = z - np.matvec(H, it.x)
-    it.B = residual[..., :, None] * residual[..., None, :] + H @ it.P @ H.T
+    x_pred: np.ndarray, p_tilde: np.ndarray, r_tilde: np.ndarray, z: np.ndarray, H: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmission branch: (x, P, B) of the standard gain update with the working covariances."""
+    x, P = kalman_update(x_pred, p_tilde, z, H, r_tilde)
+    residual = z - np.matvec(H, x)
+    return x, P, residual[..., :, None] * residual[..., None, :] + H @ P @ H.T
 
 
 def update_predicted_cov(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
@@ -329,37 +351,6 @@ def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
     return np.sqrt(np.vecdot(step, step)) <= tol * np.sqrt(np.vecdot(x_old, x_old))
 
 
-def _merge(parts, size: int) -> np.ndarray:
-    """One array of size rows holding the values of each (rows, values) pair at its rows."""
-    first = parts[0][1]
-    merged = np.empty((size,) + first.shape[1:], dtype=first.dtype)
-    for rows, values in parts:
-        merged[rows] = values
-    return merged
-
-
-# Fields of IterationState that the branch update sets.
-_BRANCH_FIELDS = ("x", "P", "B")
-
-
-def _branch_sweep(
-    it: IterationState, sent, x_pred: np.ndarray, z, H: np.ndarray, cfg: FilterConfig
-) -> None:
-    """The trigger-dependent half of a sweep: x, P and B of each row from its own branch."""
-    if sent.all():
-        update_state_meas(it, x_pred, z, H)
-    elif not sent.any():
-        update_joint_no_meas(it, x_pred, H, cfg.trigger.Y)
-    else:
-        silent = ~sent
-        sent_it, silent_it = take_rows(it, sent), take_rows(it, silent)
-        update_state_meas(sent_it, x_pred[sent], z[sent], H)
-        update_joint_no_meas(silent_it, x_pred[silent], H, cfg.trigger.Y)
-        for field in _BRANCH_FIELDS:
-            parts = [(sent, getattr(sent_it, field)), (silent, getattr(silent_it, field))]
-            setattr(it, field, _merge(parts, sent.size))
-
-
 # Fields of IterationState that a row's last sweep leaves as the step's results.
 _RESULT_FIELDS = ("x", "P", "s", "S", "alpha", "p_tilde", "r_tilde", "chi")
 
@@ -385,10 +376,15 @@ def etvbf_step(
     pred = predict(state, F, cfg)
     it = init_iteration(pred, cfg)
     rows = None  # the input row of each row still sweeping, once rows leave
-    left = []  # (input rows, sweeps, result fields) of the rows that left the loop
     x_prev = it.x  # the updates rebind it.x and never write into it
     for sweep in range(1, cfg.max_iterations + 1):
-        _branch_sweep(it, sent, pred.x_pred, z, H, cfg)
+        it.x, it.P, it.B = by_branch(
+            sent,
+            lambda r: update_state_meas(pred.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H),
+            lambda r: update_joint_no_meas(
+                pred.x_pred[r], it.p_tilde[r], it.r_tilde[r], H, cfg.trigger.Y
+            ),
+        )
         update_meas_cov(it, pred)
         update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
@@ -397,20 +393,24 @@ def etvbf_step(
         if stopped == done.size:
             break
         if stopped:
-            if rows is None:
+            if rows is None:  # full-size results, written at their input rows as rows leave
                 rows = np.arange(done.size)
-            left.append((rows[done], sweep, {f: getattr(it, f)[done] for f in _RESULT_FIELDS}))
+                final = {f: np.empty_like(getattr(it, f)) for f in _RESULT_FIELDS}
+                iterations = np.empty(done.size, dtype=int)
+            for f, out in final.items():
+                out[rows[done]] = getattr(it, f)[done]
+            iterations[rows[done]] = sweep
             keep = ~done
             rows, sent, z = rows[keep], sent[keep], z[keep]
             it, pred = take_rows(it, keep), take_rows(pred, keep)
         x_prev = it.x
-    final = {f: getattr(it, f) for f in _RESULT_FIELDS}
     if rows is None:
+        final = {f: getattr(it, f) for f in _RESULT_FIELDS}
         iterations = sweep + np.zeros(gamma.shape, dtype=int)  # a numpy integer for a single state
-    else:  # rows left early: put each back at its input row
-        left.append((rows, sweep, final))
-        iterations = _merge([(r, np.full(r.size, s)) for r, s, _ in left], gamma.size)
-        final = {f: _merge([(r, p[f]) for r, _, p in left], gamma.size) for f in _RESULT_FIELDS}
+    else:  # the rows still sweeping all stopped at this sweep
+        for f, out in final.items():
+            out[rows] = getattr(it, f)
+        iterations[rows] = sweep
     new_state = FilterState(final["x"], final["P"], final["s"], final["S"], final["alpha"])
     diagnostics = StepDiagnostics(iterations, final["p_tilde"], final["r_tilde"], final["chi"])
     return new_state, diagnostics

@@ -5,8 +5,9 @@ and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while
 each triggered filter's draws come from a filter-local stream. All four
 filters run through one step loop; a filter id only selects the step
-function and whether the sensor trigger or an always-transmit outcome
-decides each step. The loop steps a stack of trials in lockstep, one
+function (etvbf_step, or clset_kf_step with nominal or true covariances)
+and whether the sensor trigger or an always-transmit outcome decides
+each step. The loop steps a stack of trials in lockstep, one
 filter call per time step for the whole stack; a trial's record is the
 same whichever trials it runs with.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import KfState, clset_kf_step, kf_oracle_step
+from .baselines import KfState, clset_kf_step
 from .distributions import SeededRng, sample_gaussian
 from .filter import FilterConfig, etvbf_step, initial_state, take_rows
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
@@ -196,7 +197,9 @@ def _resolve_filter(
     """Initial state and step function of one filter, and whether the trigger drives it.
 
     The step maps (state, k, F_k, H_k, outcome) to (state, sweeps per row)
-    for a stack of states; the Kalman baselines report zero sweeps.
+    for a stack of states. Both Kalman baselines step through clset_kf_step
+    and report zero sweeps; they differ only in their covariances, the
+    nominal ones for clset-kf and the true Q_k, R_k for the oracle.
     Untriggered filters are handed an always-transmit outcome.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
@@ -207,19 +210,14 @@ def _resolve_filter(
 
         return initial_state(x0_hat, p0, fcfg), step, filter_id == FILTER_ETVBF
     kf_state = KfState(x_hat=x0_hat, P=np.broadcast_to(p0, x0_hat.shape[:1] + p0.shape).copy())
-    if filter_id == FILTER_CLSET:
-        q_bar = cfg.clset_q_scale * np.eye(model.n)
-
-        def step(state, k, f_k, h_k, outcome):
-            return clset_kf_step(state, f_k, h_k, q_bar, fcfg.r0, fcfg.trigger.Y, outcome), 0
-
-        return kf_state, step, True
+    nominal = filter_id == FILTER_CLSET  # the triggered clset-kf; the oracle gets Q_k, R_k
+    q_bar = cfg.clset_q_scale * np.eye(model.n)
 
     def step(state, k, f_k, h_k, outcome):
-        q_k, r_k = model.trueQ(k), model.trueR(k)
-        return kf_oracle_step(state, f_k, h_k, q_k, r_k, outcome.measurement), 0
+        q_k, r_k = (q_bar, fcfg.r0) if nominal else (model.trueQ(k), model.trueR(k))
+        return clset_kf_step(state, f_k, h_k, q_k, r_k, fcfg.trigger.Y, outcome), 0
 
-    return kf_state, step, False
+    return kf_state, step, nominal
 
 
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:

@@ -85,7 +85,8 @@ def sensor_decide(
     """Draw zeta ~ U[0,1] and withhold the measurement when zeta <= exp(-0.5 e^T Y e).
 
     For a stack of B measurements, rng is a sequence of B streams, one per
-    row, and each row draws from its own stream in row order.
+    row, and each row draws from its own stream in row order; any other
+    number of streams raises ValueError before a draw is made.
     """
     z = np.asarray(z, dtype=float)
     phi = trigger_probability(z - z_pred, cfg)
@@ -93,6 +94,8 @@ def sensor_decide(
         if rng.uniform() <= phi:
             return _SILENT
         return TriggerOutcome(gamma=1, measurement=z)
+    if len(rng) != len(z):
+        raise ValueError(f"{len(z)} measurement rows need as many trigger streams, got {len(rng)}")
     zeta = np.array([row_rng.uniform() for row_rng in rng])
     gamma = (zeta > phi).astype(int)
     return TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))

@@ -29,6 +29,15 @@ def dense_theta(
     return np.linalg.inv(phi_inv + penalty)
 
 
+def dense_kalman_update(
+    x_pred: np.ndarray, p_pred: np.ndarray, z: np.ndarray, h: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Textbook gain update with an explicit inverse: P - P H^T (H P H^T + R)^{-1} H P."""
+    s_inv = np.linalg.inv(h @ p_pred @ h.T + r)
+    gain = p_pred @ h.T @ s_inv
+    return x_pred + gain @ (z - h @ x_pred), p_pred - gain @ h @ p_pred
+
+
 def block_inverse(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> np.ndarray:

@@ -18,11 +18,10 @@ import zlib
 import numpy as np
 import pytest
 
-from etvbf.baselines import KfState, kf_oracle_step
+from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.filter import (
     FilterConfig,
-    IterationState,
     etvbf_step,
     init_iteration,
     initial_state,
@@ -75,11 +74,11 @@ def test_01_degenerate_config_matches_kalman_oracle():
         adaptive = initial_state(x0_hat, p0, cfg)
         plain = KfState(x_hat=x0_hat, P=p0)
         for k in range(1, 51):
-            z = traj.measurements[k - 1]
-            adaptive, _ = etvbf_step(
-                adaptive, model.F(k), model.H(k), TriggerOutcome(gamma=1, measurement=z), cfg
+            transmitted = TriggerOutcome(gamma=1, measurement=traj.measurements[k - 1])
+            adaptive, _ = etvbf_step(adaptive, model.F(k), model.H(k), transmitted, cfg)
+            plain = clset_kf_step(
+                plain, model.F(k), model.H(k), q_fixed, r_fixed, cfg.trigger.Y, transmitted
             )
-            plain = kf_oracle_step(plain, model.F(k), model.H(k), q_fixed, r_fixed, z)
             rel = float(
                 np.linalg.norm(adaptive.x_hat - plain.x_hat) / np.linalg.norm(plain.x_hat)
             )
@@ -108,15 +107,11 @@ def test_02_closed_forms_match_brute_force():
         r_tilde = random_spd(rng, m, scale=float(rng.uniform(0.5, 5.0)))
         y = random_spd(rng, m, scale=float(rng.uniform(0.01, 1.0)))
         theta = dense_theta(p_tilde, r_tilde, h, y)
-        it = IterationState(
-            x=np.zeros(n), P=p_tilde, g=1.0, G=p_tilde, s=1.0, S=r_tilde,
-            chi=None, alpha=None, p_tilde=p_tilde, r_tilde=r_tilde,
-        )
-        update_joint_no_meas(it, np.zeros(n), h, y)
+        _, p_post, _ = update_joint_no_meas(np.zeros(n), p_tilde, r_tilde, h, y)
         _, p_xz, p_zz = silent_update(p_tilde, h, r_tilde, y)
         worst_block = max(
             worst_block,
-            float(np.abs(it.P - theta[:n, :n]).max()),
+            float(np.abs(p_post - theta[:n, :n]).max()),
             float(np.abs(p_xz - theta[:n, n:]).max()),
             float(np.abs(p_zz - theta[n:, n:]).max()),
         )

@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from etvbf.baselines import KfState, clset_kf_step, kf_oracle_step
+from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
 from etvbf.trigger import TriggerOutcome
-from helpers import dense_theta, random_spd
+from helpers import dense_kalman_update, dense_theta, random_spd
+
+
+def transmitted_step(state, f, h, q, r, z):
+    """clset_kf_step with the measurement delivered, as the oracle Kalman filter runs it."""
+    return clset_kf_step(state, f, h, q, r, np.eye(len(z)), TriggerOutcome(gamma=1, measurement=z))
 
 
 class TestOracleKalman:
     def test_unobservable_is_pure_prediction(self):
         state = KfState(x_hat=np.array([1.0, 2.0]), P=np.eye(2))
         f = np.array([[1.0, 1.0], [0.0, 1.0]])
-        out = kf_oracle_step(state, f, np.zeros((1, 2)), np.eye(2), np.eye(1), np.zeros(1))
+        out = transmitted_step(state, f, np.zeros((1, 2)), np.eye(2), np.eye(1), np.zeros(1))
         assert np.allclose(out.x_hat, f @ state.x_hat)
         assert np.allclose(out.P, f @ state.P @ f.T + np.eye(2))
 
     def test_scalar_posterior_variance(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))
-        out = kf_oracle_step(
+        out = transmitted_step(
             state, np.eye(1), np.eye(1), np.zeros((1, 1)), np.eye(1), np.array([1.0])
         )
         assert out.P[0, 0] == pytest.approx(0.5)
@@ -29,7 +34,7 @@ class TestOracleKalman:
         f, h, q, r = 0.9, 1.0, 0.5, 2.0
         state = KfState(x_hat=np.zeros(1), P=np.array([[1.0]]))
         for _ in range(200):
-            state = kf_oracle_step(
+            state = transmitted_step(
                 state,
                 np.array([[f]]),
                 np.array([[h]]),
@@ -47,17 +52,42 @@ class TestOracleKalman:
 
 
 class TestClsetKf:
-    def test_transmitting_branch_equals_oracle_step(self):
+    def test_transmitting_branch_equals_dense_kalman_reference(self):
         rng = np.random.default_rng(0)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n + 1))
+            f = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            h = rng.standard_normal((m, n))
+            state = KfState(x_hat=rng.standard_normal(n), P=random_spd(rng, n))
+            q, r = random_spd(rng, n, scale=0.5), random_spd(rng, m, scale=2.0)
+            z = rng.standard_normal(m)
+            out = transmitted_step(state, f, h, q, r, z)
+            x_ref, p_ref = dense_kalman_update(f @ state.x_hat, f @ state.P @ f.T + q, z, h, r)
+            assert np.allclose(out.x_hat, x_ref, rtol=1e-9, atol=1e-9)
+            assert np.allclose(out.P, p_ref, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "gamma", [[1, 0, 0, 1, 1, 0], [1] * 6, [0] * 6], ids=["mixed", "all-sent", "all-silent"]
+    )
+    def test_stack_rows_equal_single_steps(self, gamma):
+        """Each row of a stack is bitwise the step of its own state and outcome alone."""
+        rng = np.random.default_rng(5)
         model = build_cv_scenario(1.0, 500)
-        state = KfState(x_hat=rng.standard_normal(4), P=np.eye(4) * 3.0)
-        q_bar, r_bar = 4.0 * np.eye(4), 150.0 * np.eye(2)
-        z = rng.standard_normal(2)
-        outcome = TriggerOutcome(gamma=1, measurement=z)
-        a = clset_kf_step(state, model.F(1), model.H(1), q_bar, r_bar, np.eye(2), outcome)
-        b = kf_oracle_step(state, model.F(1), model.H(1), q_bar, r_bar, z)
-        assert np.allclose(a.x_hat, b.x_hat)
-        assert np.allclose(a.P, b.P)
+        f, h = model.F(3), model.H(3)
+        q_bar, r_bar, y = 4.0 * np.eye(4), 150.0 * np.eye(2), 0.015 * np.eye(2)
+        gamma = np.array(gamma)
+        x_hat = rng.standard_normal((6, 4))
+        P = np.stack([random_spd(rng, 4) for _ in range(6)])
+        z = np.where(gamma[:, None] == 1, rng.standard_normal((6, 2)), np.nan)
+        stacked = clset_kf_step(
+            KfState(x_hat, P), f, h, q_bar, r_bar, y, TriggerOutcome(gamma=gamma, measurement=z)
+        )
+        for i in range(6):
+            row = TriggerOutcome(gamma=1, measurement=z[i]) if gamma[i] else TriggerOutcome(0)
+            alone = clset_kf_step(KfState(x_hat[i], P[i]), f, h, q_bar, r_bar, y, row)
+            assert np.array_equal(stacked.x_hat[i], alone.x_hat)
+            assert np.array_equal(stacked.P[i], alone.P)
 
     def test_silent_scalar_reference(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))

@@ -193,7 +193,9 @@ class TestJointUpdateNoMeasurement:
     def test_scalar_reference(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
         _, p_xz, p_zz = silent_update(it.p_tilde, np.eye(1), it.r_tilde, np.eye(1))
-        update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
+        it.x, it.P, it.B = update_joint_no_meas(
+            np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
+        )
         assert it.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert p_zz[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert p_xz[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -202,7 +204,9 @@ class TestJointUpdateNoMeasurement:
 
     def test_vanishing_trigger_information(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        update_joint_no_meas(it, np.zeros(1), np.eye(1), 1e-12 * np.eye(1))
+        it.x, it.P, it.B = update_joint_no_meas(
+            np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), 1e-12 * np.eye(1)
+        )
         assert it.P[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_blocks_match_dense_inverse(self):
@@ -221,7 +225,7 @@ class TestJointUpdateNoMeasurement:
             h = rng.standard_normal((m, n))
             y = random_spd(rng, m, scale=0.5)
             _, p_xz, p_zz = silent_update(it.p_tilde, h, it.r_tilde, y)
-            update_joint_no_meas(it, np.zeros(n), h, y)
+            it.x, it.P, it.B = update_joint_no_meas(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
             theta = dense_theta(it.p_tilde, it.r_tilde, h, y)
             assert np.linalg.norm(it.P - theta[:n, :n]) < 1e-9
             assert np.linalg.norm(p_xz - theta[:n, n:]) < 1e-9
@@ -236,25 +240,33 @@ class TestJointUpdateNoMeasurement:
     def test_state_pinned_to_prediction(self):
         it = scalar_iteration()
         x_pred = np.array([3.7])
-        update_joint_no_meas(it, x_pred, np.eye(1), np.eye(1))
+        it.x, it.P, it.B = update_joint_no_meas(
+            x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
+        )
         assert np.array_equal(it.x, x_pred)
 
 
 class TestStateUpdateWithMeasurement:
     def test_scalar_gain_half(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        update_state_meas(it, np.zeros(1), np.array([1.0]), np.eye(1))
+        it.x, it.P, it.B = update_state_meas(
+            np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1)
+        )
         assert it.x[0] == pytest.approx(0.5)
         assert it.P[0, 0] == pytest.approx(0.5)
 
     def test_uninformative_measurement(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1e12)
-        update_state_meas(it, np.zeros(1), np.array([5.0]), np.eye(1))
+        it.x, it.P, it.B = update_state_meas(
+            np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1)
+        )
         assert abs(it.x[0]) < 1e-9
 
     def test_unobservable(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        update_state_meas(it, np.array([1.0]), np.array([5.0]), np.zeros((1, 1)))
+        it.x, it.P, it.B = update_state_meas(
+            np.array([1.0]), it.p_tilde, it.r_tilde, np.array([5.0]), np.zeros((1, 1))
+        )
         assert it.x[0] == pytest.approx(1.0)
         assert it.P[0, 0] == pytest.approx(2.0)
 
@@ -267,7 +279,9 @@ class TestPredictedCovarianceUpdate:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
+        it.x, it.P, it.B = update_joint_no_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        )
         p_before = it.P.copy()
         update_predicted_cov(it, pred, cfg)
         assert it.g == pytest.approx(11.0)
@@ -282,7 +296,9 @@ class TestPredictedCovarianceUpdate:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        update_state_meas(it, pred.x_pred, np.array([2.0, 0.0]), np.eye(2))
+        it.x, it.P, it.B = update_state_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, np.array([2.0, 0.0]), np.eye(2)
+        )
         update_predicted_cov(it, pred, cfg)
         chi = it.chi
         shift = it.x - pred.x_pred
@@ -304,7 +320,9 @@ class TestMeasurementCovarianceUpdate:
         )
         pred = predict(state, np.eye(1), cfg)
         # z = x_pred = 2 leaves x at 2 with P = 0.5, so B = 0^2 + 0.5.
-        update_state_meas(it, np.array([2.0]), np.array([2.0]), np.eye(1))
+        it.x, it.P, it.B = update_state_meas(
+            np.array([2.0]), it.p_tilde, it.r_tilde, np.array([2.0]), np.eye(1)
+        )
         assert it.x[0] == pytest.approx(2.0)
         assert it.P[0, 0] == pytest.approx(0.5)
         assert it.B[0, 0] == pytest.approx(0.5)
@@ -321,7 +339,9 @@ class TestMeasurementCovarianceUpdate:
         it = init_iteration(pred, cfg)
         it.p_tilde = np.eye(1)
         it.r_tilde = np.eye(1)
-        update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
+        it.x, it.P, it.B = update_joint_no_meas(
+            np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
+        )
         update_meas_cov(it, pred)
         # B = 2/3 - 2/3 + 2/3
         assert it.S[0, 0] == pytest.approx(pred.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
@@ -334,7 +354,9 @@ class TestMeasurementCovarianceUpdate:
         pred = predict(state, np.eye(1), cfg)
         it = init_iteration(pred, cfg)
         for _ in range(4):
-            update_joint_no_meas(it, np.zeros(1), np.eye(1), np.eye(1))
+            it.x, it.P, it.B = update_joint_no_meas(
+                np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
+            )
             update_meas_cov(it, pred)
             assert it.s == pytest.approx(pred.s_prior + 1.0)
 
@@ -347,7 +369,9 @@ class TestMixtureUpdate:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
+        it.x, it.P, it.B = update_joint_no_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        )
         update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
         assert np.allclose(it.chi, [1.0])
@@ -360,7 +384,9 @@ class TestMixtureUpdate:
         )
         pred = predict(state, np.eye(2), cfg)
         it = init_iteration(pred, cfg)
-        update_joint_no_meas(it, pred.x_pred, np.eye(2), np.eye(2))
+        it.x, it.P, it.B = update_joint_no_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        )
         update_predicted_cov(it, pred, cfg)
         update_mixture(it, pred, cfg)
         assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
@@ -373,7 +399,9 @@ class TestMixtureUpdate:
         )
         pred = predict(state, np.eye(1), cfg)
         it = init_iteration(pred, cfg)
-        update_state_meas(it, pred.x_pred, np.array([1.5]), np.eye(1))
+        it.x, it.P, it.B = update_state_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1)
+        )
         update_predicted_cov(it, pred, cfg)
         alpha_before = it.alpha.copy()
         update_mixture(it, pred, cfg)
@@ -417,7 +445,9 @@ class TestMixtureUpdate:
         h_mat = rng.standard_normal((2, n))
         pred = predict(state, f_mat, cfg)
         it = init_iteration(pred, cfg)
-        update_state_meas(it, pred.x_pred, h_mat @ pred.x_pred + np.array([3.0, -2.0]), h_mat)
+        it.x, it.P, it.B = update_state_meas(
+            pred.x_pred, it.p_tilde, it.r_tilde, h_mat @ pred.x_pred + np.array([3.0, -2.0]), h_mat
+        )
         update_predicted_cov(it, pred, cfg)
         alpha_before = it.alpha.copy()
         update_mixture(it, pred, cfg)

@@ -95,25 +95,37 @@ class TestLockstep:
 
     def test_failing_row_is_recorded_alone(self, monkeypatch):
         """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
-        cfg = ExperimentConfig(n_step=12, base_seed=5)
-        clean = run_trials(cfg, "etvbf", range(6))
-        target = clean[3].estimate[3]  # trial 3's estimate entering step 5
-        real_step = harness.etvbf_step
+        check_failing_row_recorded_alone(monkeypatch, "etvbf", "etvbf_step")
 
-        def step(state, f_k, h_k, outcome, fcfg):
-            if np.all(state.x_hat == target, axis=-1).any():
-                raise NotPositiveDefinite("forced breakdown")
-            return real_step(state, f_k, h_k, outcome, fcfg)
+    @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
+    def test_failing_kalman_row_is_recorded_alone(self, monkeypatch, filter_id):
+        """Both Kalman baselines step through clset_kf_step and retry rows alone with 0 sweeps."""
+        records = check_failing_row_recorded_alone(monkeypatch, filter_id, "clset_kf_step")
+        assert not any(r.iterations.any() for r in records)
 
-        monkeypatch.setattr(harness, "etvbf_step", step)
-        records = run_trials(cfg, "etvbf", range(6))
-        assert [r.failed for r in records] == [False, False, False, True, False, False]
-        assert (records[3].fail_step, records[3].fail_reason) == (5, "forced breakdown")
-        assert_same_record(records[3], run_trial(cfg, "etvbf", 3))
-        assert np.isnan(records[3].estimate[4:]).all()
-        without = run_trials(cfg, "etvbf", [0, 1, 2, 4, 5])
-        for got, expected in zip(records[:3] + records[4:], without):
-            assert_same_record(got, expected)
+
+def check_failing_row_recorded_alone(monkeypatch, filter_id, step_name):
+    """Force the step named step_name to raise on trial 3 at step 5 and check every record."""
+    cfg = ExperimentConfig(n_step=12, base_seed=5)
+    clean = run_trials(cfg, filter_id, range(6))
+    target = clean[3].estimate[3]  # trial 3's estimate entering step 5
+    real_step = getattr(harness, step_name)
+
+    def step(state, *args):
+        if np.all(state.x_hat == target, axis=-1).any():
+            raise NotPositiveDefinite("forced breakdown")
+        return real_step(state, *args)
+
+    monkeypatch.setattr(harness, step_name, step)
+    records = run_trials(cfg, filter_id, range(6))
+    assert [r.failed for r in records] == [False, False, False, True, False, False]
+    assert (records[3].fail_step, records[3].fail_reason) == (5, "forced breakdown")
+    assert_same_record(records[3], run_trial(cfg, filter_id, 3))
+    assert np.isnan(records[3].estimate[4:]).all()
+    without = run_trials(cfg, filter_id, [0, 1, 2, 4, 5])
+    for got, expected in zip(records[:3] + records[4:], without):
+        assert_same_record(got, expected)
+    return records
 
 
 class TestTruth:

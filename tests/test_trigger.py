@@ -134,6 +134,14 @@ class TestStackedDecide:
             else:
                 assert np.isnan(stacked.measurement[i]).all()
 
+    @pytest.mark.parametrize("streams", [1, 5])
+    def test_stream_count_must_match_rows(self, streams):
+        """Three rows with one stream would share one draw; with five the draws would not fit."""
+        rngs = [SeededRng((4, i)) for i in range(streams)]
+        with pytest.raises(ValueError, match=f"3 measurement rows .* got {streams}"):
+            sensor_decide(np.ones((3, 2)), np.zeros((3, 2)), TriggerConfig(Y=np.eye(2)), rngs)
+        assert [r.uniform() for r in rngs] == [SeededRng((4, i)).uniform() for i in range(streams)]
+
 
 class TestTriggerConfig:
     def test_rejects_indefinite_and_asymmetric_y(self):
