@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import by_branch, kalman_update, silent_update
+from .filter import by_branch, kalman_update, sent_rows, silent_update
 from .numerics import symmetrize
 from .trigger import TriggerOutcome
 
@@ -44,14 +44,15 @@ def clset_kf_step(
     On a transmission this is the standard update; without one, the
     trigger still shrinks the covariance through the Y-augmented
     innovation term while the estimate stays at the prediction. Each row
-    of a stack takes only the update of its own trigger branch.
+    of a stack takes only the update of its own trigger branch. A gamma not
+    shaped like the state's rows raises ValueError.
     """
+    sent, z = sent_rows(outcome, state), outcome.measurement
     x_pred = np.matvec(F, state.x_hat)
     p_pred = symmetrize(F @ state.P @ F.T) + Q
-    z = outcome.measurement
     return KfState(
         *by_branch(
-            np.asarray(outcome.gamma) == 1,
+            sent,
             lambda r: kalman_update(x_pred[r], p_pred[r], z[r], H, R),
             lambda r: (x_pred[r], silent_update(p_pred[r], H, R, Y)[0]),
         )

@@ -258,6 +258,14 @@ def silent_update(
     return symmetrize(p_pred - p_xz @ Y @ ph_t.mT), p_xz, p_zz
 
 
+def sent_rows(outcome: TriggerOutcome, state) -> np.ndarray:
+    """Which rows of a state transmit; raises ValueError unless gamma has one entry per row."""
+    gamma, rows = np.asarray(outcome.gamma), state.x_hat.shape[:-1]
+    if gamma.shape != rows:
+        raise ValueError(f"outcome gamma {gamma.shape} and state rows {rows} differ")
+    return gamma == 1
+
+
 def by_branch(sent, transmit, silent):
     """Each row's results from its own trigger branch: transmit where sent, silent elsewhere.
 
@@ -369,14 +377,15 @@ def etvbf_step(
     then leaves the loop, so its result is exactly what stepping it alone
     would give. A gamma not shaped like the state's rows raises ValueError.
     """
-    gamma, z = np.asarray(outcome.gamma), outcome.measurement
-    if gamma.shape != np.shape(state.s):
-        raise ValueError(f"outcome gamma {gamma.shape} and state rows {np.shape(state.s)} differ")
-    sent = gamma == 1
+    sent, z = sent_rows(outcome, state), outcome.measurement
     pred = predict(state, F, cfg)
     it = init_iteration(pred, cfg)
-    rows = None  # the input row of each row still sweeping, once rows leave
-    x_prev = it.x  # the updates rebind it.x and never write into it
+    # The updates rebind the fields of it and never write into their arrays.
+    # So the arrays of the sweep where the first rows stop hold those rows'
+    # results at their input rows; they become the step's results, and rows
+    # that sweep on in the compacted stack are written into them as they stop.
+    final, rows = it, np.arange(sent.size)  # rows: the input row of each row still sweeping
+    x_prev = it.x
     for sweep in range(1, cfg.max_iterations + 1):
         it.x, it.P, it.B = by_branch(
             sent,
@@ -390,27 +399,18 @@ def etvbf_step(
         update_mixture(it, pred, cfg)
         done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
         stopped = np.count_nonzero(done)  # a single state's 0-d flag stops all rows or none
-        if stopped == done.size:
-            break
         if stopped:
-            if rows is None:  # full-size results, written at their input rows as rows leave
-                rows = np.arange(done.size)
-                final = {f: np.empty_like(getattr(it, f)) for f in _RESULT_FIELDS}
-                iterations = np.empty(done.size, dtype=int)
-            for f, out in final.items():
-                out[rows[done]] = getattr(it, f)[done]
-            iterations[rows[done]] = sweep
+            if it is final:  # the first rows to stop; a numpy integer for a single state
+                iterations = sweep + np.zeros(sent.shape, dtype=int)
+            else:
+                for f in _RESULT_FIELDS:
+                    getattr(final, f)[rows[done]] = getattr(it, f)[done]
+                iterations[rows[done]] = sweep
+            if stopped == done.size:
+                break
             keep = ~done
             rows, sent, z = rows[keep], sent[keep], z[keep]
             it, pred = take_rows(it, keep), take_rows(pred, keep)
         x_prev = it.x
-    if rows is None:
-        final = {f: getattr(it, f) for f in _RESULT_FIELDS}
-        iterations = sweep + np.zeros(gamma.shape, dtype=int)  # a numpy integer for a single state
-    else:  # the rows still sweeping all stopped at this sweep
-        for f, out in final.items():
-            out[rows] = getattr(it, f)
-        iterations[rows] = sweep
-    new_state = FilterState(final["x"], final["P"], final["s"], final["S"], final["alpha"])
-    diagnostics = StepDiagnostics(iterations, final["p_tilde"], final["r_tilde"], final["chi"])
-    return new_state, diagnostics
+    new_state = FilterState(final.x, final.P, final.s, final.S, final.alpha)
+    return new_state, StepDiagnostics(iterations, final.p_tilde, final.r_tilde, final.chi)

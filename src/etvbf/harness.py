@@ -235,8 +235,9 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     stack, and each trial draws its trigger decisions from its own
     stream. A step that raises NotPositiveDefinite or Singular is retried
     one trial at a time: the trials that fail again are recorded failed at
-    that step with the exception text, and the others go on. So every
-    record equals the one its trial gives when run alone.
+    that step with the exception text, and the others are stepped again as
+    one stack and go on. So every record equals the one its trial gives
+    when run alone.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
@@ -281,42 +282,31 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         try:
             state, sweeps = step(state, k, f_k, h_k, outcome)
         except (NotPositiveDefinite, Singular):
-            state, sweeps, ok = _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live)
-            live, outcome = live[ok], take_rows(outcome, ok)
+            ok = _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live)
+            if not ok.any():
+                break
+            live, state, outcome = live[ok], take_rows(state, ok), take_rows(outcome, ok)
+            state, sweeps = step(state, k, f_k, h_k, outcome)
         estimate[live, k - 1] = state.x_hat
         gamma[live, k - 1] = outcome.gamma
         iterations[live, k - 1] = sweeps
-        if not live.size:
-            break
     return records
 
 
 def _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live):
     """Retry a failed lockstep step one row at a time; record the rows that fail again.
 
-    Returns the stepped stack of the rows that went through, their sweeps,
-    and the mask of those rows.
+    Returns the mask of the rows that went through.
     """
-    stepped, sweeps, ok = [], [], np.ones(live.size, dtype=bool)
+    ok = np.ones(live.size, dtype=bool)
     for row in range(live.size):
         try:
-            row_state, row_sweeps = step(
-                take_rows(state, [row]), k, f_k, h_k, take_rows(outcome, [row])
-            )
+            step(take_rows(state, [row]), k, f_k, h_k, take_rows(outcome, [row]))
         except (NotPositiveDefinite, Singular) as exc:
             record = records[live[row]]
             record.failed, record.fail_step, record.fail_reason = True, k, str(exc)
             ok[row] = False
-            continue
-        stepped.append(row_state)
-        sweeps.append(np.broadcast_to(row_sweeps, (1,)))
-    if not stepped:
-        return take_rows(state, ok), np.zeros(0, dtype=int), ok
-    merged = {
-        f.name: np.concatenate([getattr(s, f.name) for s in stepped])
-        for f in dataclasses.fields(state)
-    }
-    return dataclasses.replace(state, **merged), np.concatenate(sweeps), ok
+    return ok
 
 
 def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:

@@ -89,6 +89,24 @@ class TestClsetKf:
             assert np.array_equal(stacked.x_hat[i], alone.x_hat)
             assert np.array_equal(stacked.P[i], alone.P)
 
+    @pytest.mark.parametrize(
+        "rows, outcome",
+        [
+            ((3,), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
+            ((), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
+        ],
+        ids=["stack-of-3", "single-state"],
+    )
+    def test_outcome_rows_must_match_state_rows(self, rows, outcome):
+        """An outcome with other rows than the state is rejected, not broadcast."""
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        state = KfState(np.broadcast_to(x0, rows + x0.shape), np.broadcast_to(p0, rows + p0.shape))
+        with pytest.raises(ValueError, match="gamma"):
+            clset_kf_step(
+                state, model.F(1), model.H(1), 4.0 * np.eye(4), np.eye(2), np.eye(2), outcome
+            )
+
     def test_silent_scalar_reference(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))
         out = clset_kf_step(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -612,28 +612,46 @@ def stacked_steps(draw):
     )
 
 
+# A mixed stack whose rows stop at sweeps 4, 1, 2 and 1 of a 4-sweep budget.
+STAGGERED = (
+    np.zeros((4, 4)),
+    np.array([[30.0, 30.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+    np.array([1, 0, 1, 1]),
+    4,
+    1e-3,
+)
+
+
+def stacked_step(case):
+    """Everything a stacked_steps case steps with, and its stacked etvbf_step result."""
+    x_offsets, z_offsets, gamma, max_iterations, tol = case
+    cfg = dataclasses.replace(
+        make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
+                    rho=0.997, y_scale=0.015, tol=tol),
+        max_iterations=max_iterations,
+    )
+    model = build_cv_scenario(1.0, 500)
+    x0, p0, _ = scenario_defaults()
+    f, h = model.F(1), model.H(1)
+    x0_hat = x0 + x_offsets
+    z = h @ f @ x0 + z_offsets
+    stacked = etvbf_step(
+        initial_state(x0_hat, p0, cfg), f, h,
+        TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan)),
+        cfg,
+    )
+    return stacked, (cfg, f, h, p0, x0_hat, z)
+
+
 class TestStackMatchesSingleState:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(stacked_steps())
+    @example(STAGGERED[:3] + (1, 1e-3))  # every row stops at its first sweep
+    @example(STAGGERED)  # rows leave at three different sweeps, the last at the budget
     def test_every_row_bitwise_equals_its_single_state_step(self, case):
         """Row i of a stacked step, sweep count included, is bitwise the step of state i alone."""
-        x_offsets, z_offsets, gamma, max_iterations, tol = case
-        cfg = dataclasses.replace(
-            make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
-                        rho=0.997, y_scale=0.015, tol=tol),
-            max_iterations=max_iterations,
-        )
-        model = build_cv_scenario(1.0, 500)
-        x0, p0, _ = scenario_defaults()
-        f, h = model.F(1), model.H(1)
-        x0_hat = x0 + x_offsets
-        z = h @ f @ x0 + z_offsets
-        stacked = etvbf_step(
-            initial_state(x0_hat, p0, cfg), f, h,
-            TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan)),
-            cfg,
-        )
-        for i, g in enumerate(gamma.tolist()):
+        stacked, (cfg, f, h, p0, x0_hat, z) = stacked_step(case)
+        for i, g in enumerate(case[2].tolist()):
             outcome = TriggerOutcome(gamma=1, measurement=z[i]) if g else TriggerOutcome(gamma=0)
             single = etvbf_step(initial_state(x0_hat[i], p0, cfg), f, h, outcome, cfg)
             assert isinstance(single[1].iterations, np.integer)
@@ -643,3 +661,10 @@ class TestStackMatchesSingleState:
                     alone = np.asarray(getattr(single_part, field.name))
                     assert (row.shape, row.dtype) == (alone.shape, alone.dtype), field.name
                     assert row.tobytes() == alone.tobytes(), (i, field.name)
+
+    def test_examples_stop_together_and_apart(self):
+        """The two pinned examples cover both ways a stack's rows leave the sweep loop."""
+        (_, together), _ = stacked_step(STAGGERED[:3] + (1, 1e-3))
+        (_, apart), _ = stacked_step(STAGGERED)
+        assert together.iterations.tolist() == [1, 1, 1, 1]
+        assert apart.iterations.tolist() == [4, 1, 2, 1]

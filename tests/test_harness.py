@@ -95,35 +95,49 @@ class TestLockstep:
 
     def test_failing_row_is_recorded_alone(self, monkeypatch):
         """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
-        check_failing_row_recorded_alone(monkeypatch, "etvbf", "etvbf_step")
+        check_failing_row_recorded_alone(monkeypatch, "etvbf", "etvbf_step", [(3, 5)])
 
     @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
     def test_failing_kalman_row_is_recorded_alone(self, monkeypatch, filter_id):
         """Both Kalman baselines step through clset_kf_step and retry rows alone with 0 sweeps."""
-        records = check_failing_row_recorded_alone(monkeypatch, filter_id, "clset_kf_step")
+        records = check_failing_row_recorded_alone(
+            monkeypatch, filter_id, "clset_kf_step", [(3, 5)]
+        )
         assert not any(r.iterations.any() for r in records)
 
+    @pytest.mark.parametrize(
+        "failures", [[(1, 4), (4, 8)], [(t, 6) for t in range(6)]], ids=["two-rows", "every-row"]
+    )
+    @pytest.mark.parametrize("filter_id", ["etvbf", "clset-kf", "oracle-kf"])
+    def test_failure_sequences_are_recorded_alone(self, monkeypatch, filter_id, failures):
+        """Rows failing at different steps, or every row at one step, are each recorded alone."""
+        step_name = "etvbf_step" if filter_id == "etvbf" else "clset_kf_step"
+        check_failing_row_recorded_alone(monkeypatch, filter_id, step_name, failures)
 
-def check_failing_row_recorded_alone(monkeypatch, filter_id, step_name):
-    """Force the step named step_name to raise on trial 3 at step 5 and check every record."""
+
+def check_failing_row_recorded_alone(monkeypatch, filter_id, step_name, failures):
+    """Force the step named step_name to raise on each (trial, step) and check every record."""
     cfg = ExperimentConfig(n_step=12, base_seed=5)
     clean = run_trials(cfg, filter_id, range(6))
-    target = clean[3].estimate[3]  # trial 3's estimate entering step 5
+    # A trial's estimate entering a step marks that trial at that step.
+    targets = np.array([clean[t].estimate[k - 2] for t, k in failures])
     real_step = getattr(harness, step_name)
 
     def step(state, *args):
-        if np.all(state.x_hat == target, axis=-1).any():
+        if np.all(state.x_hat[..., None, :] == targets, axis=-1).any():
             raise NotPositiveDefinite("forced breakdown")
         return real_step(state, *args)
 
     monkeypatch.setattr(harness, step_name, step)
     records = run_trials(cfg, filter_id, range(6))
-    assert [r.failed for r in records] == [False, False, False, True, False, False]
-    assert (records[3].fail_step, records[3].fail_reason) == (5, "forced breakdown")
-    assert_same_record(records[3], run_trial(cfg, filter_id, 3))
-    assert np.isnan(records[3].estimate[4:]).all()
-    without = run_trials(cfg, filter_id, [0, 1, 2, 4, 5])
-    for got, expected in zip(records[:3] + records[4:], without):
+    fail_steps = dict(failures)
+    assert [r.fail_step for r in records] == [fail_steps.get(t) for t in range(6)]
+    for t, k in failures:
+        assert (records[t].failed, records[t].fail_reason) == (True, "forced breakdown")
+        assert_same_record(records[t], run_trial(cfg, filter_id, t))
+        assert np.isnan(records[t].estimate[k - 1 :]).all()
+    others = [t for t in range(6) if t not in fail_steps]
+    for got, expected in zip([records[t] for t in others], run_trials(cfg, filter_id, others)):
         assert_same_record(got, expected)
     return records
 
