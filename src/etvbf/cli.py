@@ -80,9 +80,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = tuple(float(v) for v in args.grid.split(",")) if args.grid else None
-    if grid is None:
-        grid = PROFILES[args.profile]["grids"][args.param]
+    grid = PROFILES[args.profile]["grids"][args.param]
+    if args.grid is not None:
+        values = args.grid.split(",")
+        if not all(v.strip() for v in values):
+            raise ValueError(f"--grid {args.grid!r} has an empty value; list numbers, e.g. 0.1,0.2")
+        grid = tuple(float(v) for v in values)
     cfg = _resolve_config(
         args,
         sweep_param=args.param,

@@ -1,11 +1,12 @@
 """Adaptive variational filter with event-triggered measurement updates.
 
-One filter step runs a prediction, then a fixed-point sweep loop that
-alternately refines the state, the predicted error covariance (as an
-inverse-Wishart posterior over a bank of nominal process noise
-covariances), the measurement noise covariance, and the mixture weights.
-The trigger outcome decides one thing per sweep: the branch update gives
-the state x, its covariance P and the measurement scatter
+One filter step runs a fixed-point sweep loop on one IterationState.
+predict builds it at sweep zero: the step's priors, and iterates that
+start from them. Each sweep refines the state, the predicted error
+covariance (as an inverse-Wishart posterior over a bank of nominal process
+noise covariances), the measurement noise covariance, and the mixture
+weights. The trigger outcome decides one thing per sweep: the branch
+update gives the state x, its covariance P and the measurement scatter
 B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
 no-measurement branch still extracts information from the fact that the
 innovation was small enough to stay below the stochastic trigger. by_branch
@@ -44,14 +45,12 @@ from .trigger import TriggerConfig, TriggerOutcome
 __all__ = [
     "FilterConfig",
     "FilterState",
-    "Prediction",
     "IterationState",
     "StepDiagnostics",
     "initial_state",
     "kalman_update",
     "silent_update",
     "predict",
-    "init_iteration",
     "update_joint_no_meas",
     "update_state_meas",
     "update_predicted_cov",
@@ -109,9 +108,14 @@ class FilterState:
     alpha: np.ndarray
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Per-step priors: predicted state, covariance bank, forgotten dofs."""
+@dataclass
+class IterationState:
+    """One step's variational posterior: the step's priors, then the iterates.
+
+    predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
+    alpha_prior); the updates rebind the iterates and never write into any
+    array, so an array of one sweep is never changed by a later one.
+    """
 
     x_pred: np.ndarray
     G_j: np.ndarray  # (..., M, n, n) IW scales g_j (F P F^T + Qbar_j)
@@ -119,12 +123,6 @@ class Prediction:
     s_prior: np.ndarray
     S_prior: np.ndarray
     alpha_prior: np.ndarray
-
-
-@dataclass
-class IterationState:
-    """Mutable quantities refined by the fixed-point sweeps within one step."""
-
     x: np.ndarray
     P: np.ndarray
     g: np.ndarray
@@ -135,7 +133,6 @@ class IterationState:
     alpha: np.ndarray
     p_tilde: np.ndarray  # G / g, the working predicted covariance
     r_tilde: np.ndarray  # S / s, the working measurement covariance
-    B: np.ndarray | None = None  # scatter E{(z - Hx)(z - Hx)^T}, set by the branch update
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
 
 def take_rows(stack, rows):
     """The same dataclass holding the given rows of every array field of a stack."""
-    return type(stack)(**{k: v if v is None else v[rows] for k, v in vars(stack).items()})
+    return type(stack)(**{k: v[rows] for k, v in vars(stack).items()})
 
 
 def _per_matrix(v) -> np.ndarray:
@@ -183,41 +180,29 @@ def _per_matrix(v) -> np.ndarray:
     return np.asarray(v)[..., None, None]
 
 
-def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> Prediction:
-    """Propagate the state, build the covariance bank, and forget old dofs."""
+def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationState:
+    """Sweep zero of a step: the step's priors, and iterates that start from them.
+
+    The state is propagated, the covariance bank built and old dofs
+    forgotten; the bank starts weighted by the Dirichlet mean of its weights.
+    """
     n = F.shape[0]
     fpf = symmetrize(F @ prev.P @ F.T)
     g_j = cfg.dof_g[:, None, None] * (fpf[..., None, :, :] + cfg.nominal_q)
     log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
-    return Prediction(
-        x_pred=np.matvec(F, prev.x_hat),
-        G_j=g_j,
-        log_norm_j=0.5 * cfg.dof_g * spd_factor(g_j).log_det()
-        - 0.5 * n * cfg.dof_g * math.log(2.0)
-        - log_gamma_j,
-        s_prior=cfg.rho * prev.s,
-        S_prior=cfg.rho * prev.S,
-        alpha_prior=cfg.rho * prev.alpha,
-    )
-
-
-def init_iteration(pred: Prediction, cfg: FilterConfig) -> IterationState:
-    """Sweep-zero initialization from the priors."""
-    chi0 = pred.alpha_prior / pred.alpha_prior.sum(axis=-1, keepdims=True)
+    log_det_j = spd_factor(g_j).log_det()
+    log_norm_j = 0.5 * cfg.dof_g * log_det_j - 0.5 * n * cfg.dof_g * math.log(2.0) - log_gamma_j
+    x_pred = np.matvec(F, prev.x_hat)
+    s_prior, S_prior, alpha_prior = cfg.rho * prev.s, cfg.rho * prev.S, cfg.rho * prev.alpha
+    chi0 = alpha_prior / alpha_prior.sum(axis=-1, keepdims=True)
     g0 = np.vecdot(chi0, cfg.dof_g)
-    big_g0 = (chi0[..., None, None] * pred.G_j).sum(axis=-3)
+    big_g0 = (chi0[..., None, None] * g_j).sum(axis=-3)
     p0 = big_g0 / _per_matrix(g0)
     return IterationState(
-        x=pred.x_pred.copy(),
-        P=p0,
-        g=g0,
-        G=big_g0,
-        s=pred.s_prior,
-        S=pred.S_prior.copy(),
-        chi=chi0,
-        alpha=pred.alpha_prior.copy(),
-        p_tilde=p0,
-        r_tilde=pred.S_prior / _per_matrix(pred.s_prior),
+        x_pred=x_pred, G_j=g_j, log_norm_j=log_norm_j,
+        s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
+        x=x_pred, P=p0, g=g0, G=big_g0, s=s_prior, S=S_prior, chi=chi0, alpha=alpha_prior,
+        p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior),
     )
 
 
@@ -305,23 +290,23 @@ def update_state_meas(
     return x, P, residual[..., :, None] * residual[..., None, :] + H @ P @ H.T
 
 
-def update_predicted_cov(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
+def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
     """Refresh the inverse-Wishart posterior over the predicted covariance."""
-    shift = it.x - pred.x_pred
+    shift = it.x - it.x_pred
     a_mat = it.P + shift[..., :, None] * shift[..., None, :]
     it.g = np.vecdot(it.chi, cfg.dof_g) + 1.0
-    it.G = symmetrize((it.chi[..., None, None] * pred.G_j).sum(axis=-3) + a_mat)
+    it.G = symmetrize((it.chi[..., None, None] * it.G_j).sum(axis=-3) + a_mat)
     it.p_tilde = it.G / _per_matrix(it.g)
 
 
-def update_meas_cov(it: IterationState, pred: Prediction) -> None:
-    """Refresh the inverse-Wishart posterior over the measurement covariance from it.B."""
-    it.s = pred.s_prior + 1.0
-    it.S = symmetrize(pred.S_prior + it.B)
+def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
+    """Refresh the inverse-Wishart posterior over the measurement covariance from scatter B."""
+    it.s = it.s_prior + 1.0
+    it.S = symmetrize(it.S_prior + B)
     it.r_tilde = it.S / _per_matrix(it.s)
 
 
-def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> None:
+def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     """Reweight the nominal covariance bank and refresh the Dirichlet posterior.
 
     Both inverse-Wishart moments of the posterior IW(g, G) come from one
@@ -340,13 +325,13 @@ def update_mixture(it: IterationState, pred: Prediction, cfg: FilterConfig) -> N
     # The -(n + 1) E{log|P|} / 2 of each IW log density is common to all
     # components and cancels in the normalisation, so it is left out.
     log_w = (
-        pred.log_norm_j
-        - 0.5 * np.sum(pred.G_j * e_p_inv[..., None, :, :], axis=(-2, -1))
+        it.log_norm_j
+        - 0.5 * np.sum(it.G_j * e_p_inv[..., None, :, :], axis=(-2, -1))
         - 0.5 * cfg.dof_g * e_logdet_p[..., None]
         + (psi[..., :m_size] - psi[..., m_size, None])
     )
     it.chi = normalize_log_weights(log_w)
-    it.alpha = pred.alpha_prior + it.chi
+    it.alpha = it.alpha_prior + it.chi
 
 
 def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
@@ -378,8 +363,7 @@ def etvbf_step(
     would give. A gamma not shaped like the state's rows raises ValueError.
     """
     sent, z = sent_rows(outcome, state), outcome.measurement
-    pred = predict(state, F, cfg)
-    it = init_iteration(pred, cfg)
+    it = predict(state, F, cfg)
     # The updates rebind the fields of it and never write into their arrays.
     # So the arrays of the sweep where the first rows stop hold those rows'
     # results at their input rows; they become the step's results, and rows
@@ -387,16 +371,16 @@ def etvbf_step(
     final, rows = it, np.arange(sent.size)  # rows: the input row of each row still sweeping
     x_prev = it.x
     for sweep in range(1, cfg.max_iterations + 1):
-        it.x, it.P, it.B = by_branch(
+        it.x, it.P, B = by_branch(
             sent,
-            lambda r: update_state_meas(pred.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H),
+            lambda r: update_state_meas(it.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H),
             lambda r: update_joint_no_meas(
-                pred.x_pred[r], it.p_tilde[r], it.r_tilde[r], H, cfg.trigger.Y
+                it.x_pred[r], it.p_tilde[r], it.r_tilde[r], H, cfg.trigger.Y
             ),
         )
-        update_meas_cov(it, pred)
-        update_predicted_cov(it, pred, cfg)
-        update_mixture(it, pred, cfg)
+        update_meas_cov(it, B)
+        update_predicted_cov(it, cfg)
+        update_mixture(it, cfg)
         done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
         stopped = np.count_nonzero(done)  # a single state's 0-d flag stops all rows or none
         if stopped:
@@ -410,7 +394,7 @@ def etvbf_step(
                 break
             keep = ~done
             rows, sent, z = rows[keep], sent[keep], z[keep]
-            it, pred = take_rows(it, keep), take_rows(pred, keep)
+            it = take_rows(it, keep)
         x_prev = it.x
     new_state = FilterState(final.x, final.P, final.s, final.S, final.alpha)
     return new_state, StepDiagnostics(iterations, final.p_tilde, final.r_tilde, final.chi)

@@ -237,11 +237,15 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     one trial at a time: the trials that fail again are recorded failed at
     that step with the exception text, and the others are stepped again as
     one stack and go on. So every record equals the one its trial gives
-    when run alone.
+    when run alone. A trial index that is not a non-negative integer
+    raises ValueError.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
     trial_indices = list(trial_indices)
+    bad = [t for t in trial_indices if not isinstance(t, numbers.Integral) or t < 0]
+    if bad:
+        raise ValueError(f"trial indices must be non-negative integers, got {bad}")
     model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
     fcfg = build_filter_config(cfg)
     if not trial_indices:

@@ -23,7 +23,6 @@ from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.filter import (
     FilterConfig,
     etvbf_step,
-    init_iteration,
     initial_state,
     predict,
     silent_update,

@@ -8,16 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng
 from etvbf.filter import (
     FilterConfig,
     FilterState,
+    IterationState,
     check_convergence,
     etvbf_step,
-    init_iteration,
     initial_state,
     predict,
     silent_update,
+    take_rows,
     update_joint_no_meas,
     update_meas_cov,
     update_mixture,
@@ -134,26 +136,48 @@ class TestPredict:
         assert np.allclose(pred.alpha_prior, [1.0, 1.0])
         assert np.allclose(pred.S_prior, 2.0 * np.eye(2))
 
+    def test_stack_rows_bitwise_equal_single_state_predictions(self):
+        """Each row of a stacked sweep-zero state, in every field, is bitwise its row's alone."""
+        rng = np.random.default_rng(15)
+        n, rows = 4, 3
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]), rho=0.997)
+        stack = FilterState(
+            x_hat=rng.standard_normal((rows, n)),
+            P=np.array([random_spd(rng, n) for _ in range(rows)]),
+            s=rng.uniform(3.0, 9.0, rows),
+            S=np.array([random_spd(rng, 2) for _ in range(rows)]),
+            alpha=rng.uniform(0.5, 3.0, (rows, 3)),
+        )
+        f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        stacked = predict(stack, f_mat, cfg)
+        for i in range(rows):
+            alone = predict(take_rows(stack, i), f_mat, cfg)
+            for field in dataclasses.fields(IterationState):
+                row = np.asarray(getattr(stacked, field.name))[i]
+                single = np.asarray(getattr(alone, field.name))
+                assert (row.shape, row.dtype) == (single.shape, single.dtype), field.name
+                assert row.tobytes() == single.tobytes(), (i, field.name)
+
 
 class TestInitIteration:
+    """Sweep zero: the iterates that predict starts from the priors."""
+
     def test_uniform_prior_with_equal_dofs(self):
         cfg = make_config(q_scales=(1.0,) * 5, dof=10.0)
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(2), cfg)
         assert it.g == pytest.approx(10.0)
         assert np.allclose(it.chi, 0.2)
-        assert np.allclose(it.x, pred.x_pred)
+        assert np.allclose(it.x, state.x_hat)  # F = I
 
     def test_single_component(self):
         cfg = make_config(q_scales=(2.0,))
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(1)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(2), cfg)
         assert np.allclose(it.chi, [1.0])
         assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0])  # F = I
 
@@ -163,8 +187,7 @@ class TestInitIteration:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2),
             alpha=np.array([0.2, 1.0, 3.0]),
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(2), cfg)
         assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0], atol=1e-12)  # F = I
 
     def test_r_tilde_from_prior_ratio(self):
@@ -172,8 +195,7 @@ class TestInitIteration:
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=4.0, S=8.0 * np.eye(2), alpha=np.ones(2)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(2), cfg)
         assert np.allclose(it.r_tilde, 2.0 * np.eye(2))
 
 
@@ -182,8 +204,7 @@ def scalar_iteration(p_tilde=1.0, r_tilde=1.0):
     state = FilterState(
         x_hat=np.zeros(1), P=np.eye(1), s=1.0, S=np.eye(1), alpha=np.ones(1)
     )
-    pred = predict(state, np.eye(1), cfg)
-    it = init_iteration(pred, cfg)
+    it = predict(state, np.eye(1), cfg)
     it.p_tilde = np.array([[p_tilde]])
     it.r_tilde = np.array([[r_tilde]])
     return it
@@ -193,18 +214,18 @@ class TestJointUpdateNoMeasurement:
     def test_scalar_reference(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
         _, p_xz, p_zz = silent_update(it.p_tilde, np.eye(1), it.r_tilde, np.eye(1))
-        it.x, it.P, it.B = update_joint_no_meas(
+        it.x, it.P, B = update_joint_no_meas(
             np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
         )
         assert it.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert p_zz[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert p_xz[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         # B = P - 2 Pxz + Pzz = 2/3 - 2/3 + 2/3
-        assert it.B[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert B[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_vanishing_trigger_information(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, it.B = update_joint_no_meas(
+        it.x, it.P, B = update_joint_no_meas(
             np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), 1e-12 * np.eye(1)
         )
         assert it.P[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -218,14 +239,13 @@ class TestJointUpdateNoMeasurement:
                 x_hat=np.zeros(n), P=random_spd(rng, n), s=5.0,
                 S=5.0 * random_spd(rng, m), alpha=np.ones(1),
             )
-            pred = predict(state, np.eye(n), cfg)
-            it = init_iteration(pred, cfg)
+            it = predict(state, np.eye(n), cfg)
             it.p_tilde = random_spd(rng, n)
             it.r_tilde = random_spd(rng, m)
             h = rng.standard_normal((m, n))
             y = random_spd(rng, m, scale=0.5)
             _, p_xz, p_zz = silent_update(it.p_tilde, h, it.r_tilde, y)
-            it.x, it.P, it.B = update_joint_no_meas(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
+            it.x, it.P, B = update_joint_no_meas(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
             theta = dense_theta(it.p_tilde, it.r_tilde, h, y)
             assert np.linalg.norm(it.P - theta[:n, :n]) < 1e-9
             assert np.linalg.norm(p_xz - theta[:n, n:]) < 1e-9
@@ -235,12 +255,12 @@ class TestJointUpdateNoMeasurement:
                 h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
                 + theta[n:, n:]
             )
-            assert np.linalg.norm(it.B - scatter) < 1e-9
+            assert np.linalg.norm(B - scatter) < 1e-9
 
     def test_state_pinned_to_prediction(self):
         it = scalar_iteration()
         x_pred = np.array([3.7])
-        it.x, it.P, it.B = update_joint_no_meas(
+        it.x, it.P, B = update_joint_no_meas(
             x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
         )
         assert np.array_equal(it.x, x_pred)
@@ -249,7 +269,7 @@ class TestJointUpdateNoMeasurement:
 class TestStateUpdateWithMeasurement:
     def test_scalar_gain_half(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        it.x, it.P, it.B = update_state_meas(
+        it.x, it.P, B = update_state_meas(
             np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1)
         )
         assert it.x[0] == pytest.approx(0.5)
@@ -257,14 +277,14 @@ class TestStateUpdateWithMeasurement:
 
     def test_uninformative_measurement(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1e12)
-        it.x, it.P, it.B = update_state_meas(
+        it.x, it.P, B = update_state_meas(
             np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1)
         )
         assert abs(it.x[0]) < 1e-9
 
     def test_unobservable(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, it.B = update_state_meas(
+        it.x, it.P, B = update_state_meas(
             np.array([1.0]), it.p_tilde, it.r_tilde, np.array([5.0]), np.zeros((1, 1))
         )
         assert it.x[0] == pytest.approx(1.0)
@@ -277,15 +297,14 @@ class TestPredictedCovarianceUpdate:
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_joint_no_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        it = predict(state, np.eye(2), cfg)
+        it.x, it.P, B = update_joint_no_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
         )
         p_before = it.P.copy()
-        update_predicted_cov(it, pred, cfg)
+        update_predicted_cov(it, cfg)
         assert it.g == pytest.approx(11.0)
-        expected_g = sum(0.2 * g for g in pred.G_j) + p_before
+        expected_g = sum(0.2 * g for g in it.G_j) + p_before
         assert np.allclose(it.G, expected_g, atol=1e-12)
 
     def test_weighted_sum_identity(self):
@@ -294,14 +313,13 @@ class TestPredictedCovarianceUpdate:
             x_hat=np.ones(2), P=2.0 * np.eye(2), s=5.0, S=5.0 * np.eye(2),
             alpha=np.array([1.0, 3.0]),
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_state_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, np.array([2.0, 0.0]), np.eye(2)
+        it = predict(state, np.eye(2), cfg)
+        it.x, it.P, B = update_state_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, np.array([2.0, 0.0]), np.eye(2)
         )
-        update_predicted_cov(it, pred, cfg)
+        update_predicted_cov(it, cfg)
         chi = it.chi
-        shift = it.x - pred.x_pred
+        shift = it.x - it.x_pred
         a_mat = it.P + np.outer(shift, shift)
         # F = I, so each component's predicted covariance is P + Qbar_j.
         numerator = sum(
@@ -314,51 +332,44 @@ class TestPredictedCovarianceUpdate:
 class TestMeasurementCovarianceUpdate:
     def test_transmitted_zero_residual(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        cfg = scalar_config(q_scales=(1.0,))
-        state = FilterState(
-            x_hat=np.zeros(1), P=np.eye(1), s=5.0, S=5.0 * np.eye(1), alpha=np.ones(1)
-        )
-        pred = predict(state, np.eye(1), cfg)
         # z = x_pred = 2 leaves x at 2 with P = 0.5, so B = 0^2 + 0.5.
-        it.x, it.P, it.B = update_state_meas(
+        it.x, it.P, B = update_state_meas(
             np.array([2.0]), it.p_tilde, it.r_tilde, np.array([2.0]), np.eye(1)
         )
         assert it.x[0] == pytest.approx(2.0)
         assert it.P[0, 0] == pytest.approx(0.5)
-        assert it.B[0, 0] == pytest.approx(0.5)
-        update_meas_cov(it, pred)
-        assert it.S[0, 0] == pytest.approx(pred.S_prior[0, 0] + 0.5)
-        assert it.s == pytest.approx(pred.s_prior + 1.0)
+        assert B[0, 0] == pytest.approx(0.5)
+        update_meas_cov(it, B)
+        assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 0.5)
+        assert it.s == pytest.approx(it.s_prior + 1.0)
 
     def test_silent_scalar_reference(self):
         cfg = scalar_config(q_scales=(1.0,))
         state = FilterState(
             x_hat=np.zeros(1), P=np.eye(1), s=5.0, S=5.0 * np.eye(1), alpha=np.ones(1)
         )
-        pred = predict(state, np.eye(1), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(1), cfg)
         it.p_tilde = np.eye(1)
         it.r_tilde = np.eye(1)
-        it.x, it.P, it.B = update_joint_no_meas(
+        it.x, it.P, B = update_joint_no_meas(
             np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
         )
-        update_meas_cov(it, pred)
+        update_meas_cov(it, B)
         # B = 2/3 - 2/3 + 2/3
-        assert it.S[0, 0] == pytest.approx(pred.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
+        assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
 
     def test_dof_increment_is_idempotent_across_sweeps(self):
         cfg = scalar_config(q_scales=(1.0,), s0=5.0)
         state = FilterState(
             x_hat=np.zeros(1), P=np.eye(1), s=5.0, S=5.0 * np.eye(1), alpha=np.ones(1)
         )
-        pred = predict(state, np.eye(1), cfg)
-        it = init_iteration(pred, cfg)
+        it = predict(state, np.eye(1), cfg)
         for _ in range(4):
-            it.x, it.P, it.B = update_joint_no_meas(
+            it.x, it.P, B = update_joint_no_meas(
                 np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
             )
-            update_meas_cov(it, pred)
-            assert it.s == pytest.approx(pred.s_prior + 1.0)
+            update_meas_cov(it, B)
+            assert it.s == pytest.approx(it.s_prior + 1.0)
 
 
 class TestMixtureUpdate:
@@ -367,28 +378,26 @@ class TestMixtureUpdate:
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(1)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_joint_no_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        it = predict(state, np.eye(2), cfg)
+        it.x, it.P, B = update_joint_no_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
         )
-        update_predicted_cov(it, pred, cfg)
-        update_mixture(it, pred, cfg)
+        update_predicted_cov(it, cfg)
+        update_mixture(it, cfg)
         assert np.allclose(it.chi, [1.0])
-        assert np.allclose(it.alpha, pred.alpha_prior + 1.0)
+        assert np.allclose(it.alpha, it.alpha_prior + 1.0)
 
     def test_identical_components_stay_uniform(self):
         cfg = make_config(q_scales=(2.0, 2.0, 2.0))
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(3)
         )
-        pred = predict(state, np.eye(2), cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_joint_no_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
+        it = predict(state, np.eye(2), cfg)
+        it.x, it.P, B = update_joint_no_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
         )
-        update_predicted_cov(it, pred, cfg)
-        update_mixture(it, pred, cfg)
+        update_predicted_cov(it, cfg)
+        update_mixture(it, cfg)
         assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
 
     def test_two_component_scalar_against_direct_formula(self):
@@ -397,14 +406,13 @@ class TestMixtureUpdate:
             x_hat=np.zeros(1), P=np.eye(1), s=5.0, S=5.0 * np.eye(1),
             alpha=np.array([1.0, 2.0]),
         )
-        pred = predict(state, np.eye(1), cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_state_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1)
+        it = predict(state, np.eye(1), cfg)
+        it.x, it.P, B = update_state_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1)
         )
-        update_predicted_cov(it, pred, cfg)
+        update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
-        update_mixture(it, pred, cfg)
+        update_mixture(it, cfg)
 
         # Direct evaluation with scipy special functions.
         n = 1
@@ -415,7 +423,7 @@ class TestMixtureUpdate:
             - float(scipy.special.digamma(0.5 * it.g))
         )
         log_w = []
-        for g_j, big_g in zip(cfg.dof_g, pred.G_j):
+        for g_j, big_g in zip(cfg.dof_g, it.G_j):
             log_w.append(
                 0.5 * g_j * math.log(big_g[0, 0])
                 - 0.5 * big_g[0, 0] * e_p_inv
@@ -429,7 +437,7 @@ class TestMixtureUpdate:
         expected = np.exp(log_w - log_w.max())
         expected /= expected.sum()
         assert np.allclose(it.chi, expected, atol=1e-10)
-        assert np.allclose(it.alpha, pred.alpha_prior + expected, atol=1e-10)
+        assert np.allclose(it.alpha, it.alpha_prior + expected, atol=1e-10)
 
     def test_four_dim_three_components_against_direct_formula(self):
         # At n = 1 the n log 2, psi_n and (n + 1) terms are trivial; n = 4 with
@@ -443,14 +451,13 @@ class TestMixtureUpdate:
         )
         f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         h_mat = rng.standard_normal((2, n))
-        pred = predict(state, f_mat, cfg)
-        it = init_iteration(pred, cfg)
-        it.x, it.P, it.B = update_state_meas(
-            pred.x_pred, it.p_tilde, it.r_tilde, h_mat @ pred.x_pred + np.array([3.0, -2.0]), h_mat
+        it = predict(state, f_mat, cfg)
+        it.x, it.P, B = update_state_meas(
+            it.x_pred, it.p_tilde, it.r_tilde, h_mat @ it.x_pred + np.array([3.0, -2.0]), h_mat
         )
-        update_predicted_cov(it, pred, cfg)
+        update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
-        update_mixture(it, pred, cfg)
+        update_mixture(it, cfg)
 
         # Dense reference: explicit inverse, slogdet and scipy special functions.
         e_p_inv = it.g * np.linalg.inv(it.G)
@@ -466,7 +473,7 @@ class TestMixtureUpdate:
                 - 0.5 * (g_j + n + 1) * e_logdet
                 - 0.5 * n * g_j * math.log(2.0)
                 - scipy.special.multigammaln(0.5 * g_j, n)
-                for g_j, big_g in zip(cfg.dof_g, pred.G_j)
+                for g_j, big_g in zip(cfg.dof_g, it.G_j)
             ]
         )
         log_w += scipy.special.digamma(alpha_before) - scipy.special.digamma(alpha_before.sum())
@@ -474,7 +481,7 @@ class TestMixtureUpdate:
         expected /= expected.sum()
         assert expected.min() > 0.01  # no component is negligible, so each term shows
         assert np.allclose(it.chi, expected, atol=1e-10)
-        assert np.allclose(it.alpha, pred.alpha_prior + expected, atol=1e-10)
+        assert np.allclose(it.alpha, it.alpha_prior + expected, atol=1e-10)
 
 
 class TestConvergence:
@@ -622,8 +629,8 @@ STAGGERED = (
 )
 
 
-def stacked_step(case):
-    """Everything a stacked_steps case steps with, and its stacked etvbf_step result."""
+def stacked_inputs(case):
+    """A stacked_steps case's config, F, H, p0, x0_hat and z, its initial stack and outcome."""
     x_offsets, z_offsets, gamma, max_iterations, tol = case
     cfg = dataclasses.replace(
         make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
@@ -635,12 +642,15 @@ def stacked_step(case):
     f, h = model.F(1), model.H(1)
     x0_hat = x0 + x_offsets
     z = h @ f @ x0 + z_offsets
-    stacked = etvbf_step(
-        initial_state(x0_hat, p0, cfg), f, h,
-        TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan)),
-        cfg,
-    )
-    return stacked, (cfg, f, h, p0, x0_hat, z)
+    outcome = TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
+    return (cfg, f, h, p0, x0_hat, z), initial_state(x0_hat, p0, cfg), outcome
+
+
+def stacked_step(case):
+    """Everything a stacked_steps case steps with, and its stacked etvbf_step result."""
+    inputs, state, outcome = stacked_inputs(case)
+    cfg, f, h = inputs[:3]
+    return etvbf_step(state, f, h, outcome, cfg), inputs
 
 
 class TestStackMatchesSingleState:
@@ -668,3 +678,19 @@ class TestStackMatchesSingleState:
         (_, apart), _ = stacked_step(STAGGERED)
         assert together.iterations.tolist() == [1, 1, 1, 1]
         assert apart.iterations.tolist() == [4, 1, 2, 1]
+
+    def test_steps_leave_their_input_arrays_unchanged(self):
+        """Rows that stop at sweeps 4, 1, 2 and 1 leave the stepped state and outcome as given.
+
+        The updates rebind and never write, and the results alias no input.
+        """
+        (cfg, f, h, *_), state, outcome = stacked_inputs(STAGGERED)
+        kf_state = KfState(x_hat=state.x_hat, P=state.P)
+        given = [state, outcome]
+        saved = [{k: np.array(v) for k, v in vars(obj).items()} for obj in given]
+        _, diag = etvbf_step(state, f, h, outcome, cfg)
+        assert diag.iterations.tolist() == [4, 1, 2, 1]
+        clset_kf_step(kf_state, f, h, 4.0 * np.eye(4), cfg.r0, cfg.trigger.Y, outcome)
+        for obj, before in zip(given, saved):
+            for name, value in vars(obj).items():
+                assert np.asarray(value).tobytes() == before[name].tobytes(), name

@@ -93,6 +93,11 @@ class TestLockstep:
     def test_no_trials_give_no_records(self, filter_id):
         assert run_trials(ExperimentConfig(**TINY), filter_id, []) == []
 
+    @pytest.mark.parametrize("index", [-1, 2.5])
+    def test_bad_trial_index_rejected_by_name(self, index):
+        with pytest.raises(ValueError, match=rf"non-negative integers, got \[{index}\]"):
+            run_trials(ExperimentConfig(**TINY), "clset-kf", [0, index])
+
     def test_failing_row_is_recorded_alone(self, monkeypatch):
         """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
         check_failing_row_recorded_alone(monkeypatch, "etvbf", "etvbf_step", [(3, 5)])
@@ -481,6 +486,14 @@ class TestCli:
                     str(tmp_path / "x"),
                 ]
             )
+
+    @pytest.mark.parametrize("grid", ["", "0.1,,0.2"])
+    def test_sweep_rejects_empty_grid_values(self, tmp_path, grid):
+        out = tmp_path / "x"
+        with pytest.raises(ValueError, match="--grid"):
+            cli_main(["sweep", "--param", "y", "--grid", grid, "--filters", "clset-kf",
+                      "--mc", "1", "--steps", "8", "--out", str(out)])
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_filter_names_the_valid_ids(self, tmp_path):
         with pytest.raises(ValueError, match="bogus") as excinfo:
