@@ -44,16 +44,18 @@ def clset_kf_step(
     On a transmission this is the standard update; without one, the
     trigger still shrinks the covariance through the Y-augmented
     innovation term while the estimate stays at the prediction. Each row
-    of a stack takes only the update of its own trigger branch. A gamma not
-    shaped like the state's rows raises ValueError.
+    of a stack takes only the update of its own trigger branch, and F, H,
+    Q, R may hold one matrix per row. A gamma not shaped like the state's
+    rows raises ValueError.
     """
     sent, z = sent_rows(outcome, state), outcome.measurement
+    H, R = (a if a.ndim > 2 else np.broadcast_to(a, sent.shape + a.shape) for a in (H, R))
     x_pred = np.matvec(F, state.x_hat)
-    p_pred = symmetrize(F @ state.P @ F.T) + Q
+    p_pred = symmetrize(F @ state.P @ F.mT) + Q
     return KfState(
         *by_branch(
             sent,
-            lambda r: kalman_update(x_pred[r], p_pred[r], z[r], H, R),
-            lambda r: (x_pred[r], silent_update(p_pred[r], H, R, Y)[0]),
+            lambda r: kalman_update(x_pred[r], p_pred[r], z[r], H[r], R[r]),
+            lambda r: (x_pred[r], silent_update(p_pred[r], H[r], R[r], Y)[0]),
         )
     )

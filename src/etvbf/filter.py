@@ -1,33 +1,31 @@
 """Adaptive variational filter with event-triggered measurement updates.
 
-One filter step runs a fixed-point sweep loop on one IterationState.
-predict builds it at sweep zero: the step's priors, and iterates that
-start from them. Each sweep refines the state, the predicted error
-covariance (as an inverse-Wishart posterior over a bank of nominal process
-noise covariances), the measurement noise covariance, and the mixture
-weights. The trigger outcome decides one thing per sweep: the branch
-update gives the state x, its covariance P and the measurement scatter
-B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
-no-measurement branch still extracts information from the fact that the
-innovation was small enough to stay below the stochastic trigger. by_branch
-is the one place that splits rows by trigger outcome, here and in the
-known-covariance Kalman baselines, which reuse kalman_update and
-silent_update, plain functions of a predicted covariance.
+A filter step is predict, which builds its sweep-zero IterationState (the
+priors, and iterates that start from them), then sweeps. Each sweep
+refines the state, the predicted error covariance (as an inverse-Wishart
+posterior over a bank of nominal process noise covariances), the
+measurement noise covariance, and the mixture weights. The trigger outcome
+decides one thing per sweep: the branch update gives the state x, its
+covariance P and the measurement scatter B = E{(z - Hx)(z - Hx)^T}, and
+every later update is branch-free. The no-measurement branch still
+extracts information from the fact that the innovation was small enough to
+stay below the stochastic trigger. by_branch is the one place that splits
+rows by trigger outcome, here and in the known-covariance Kalman
+baselines, which reuse kalman_update and silent_update, plain functions of
+a predicted covariance.
 
 Every function takes one filter state, or a stack of B of them along a
-leading trial axis (x_hat of shape (B, n), P of shape (B, n, n), s of
-shape (B,), and so on). etvbf_step runs one sweep loop for both: a single
-state goes through it as it is, not as a stack of one. A stack is stepped
-in lockstep: rows that converge leave the sweep loop and are written into
-the step's results, and rows with different trigger outcomes share every
-update except the branch update.
+leading row axis (x_hat of shape (B, n), P of shape (B, n, n), ...), and
+one F or H, or one per row. run_rows is the one sweep loop: each round
+sweeps every row it holds, whatever its step; rows that stop leave and
+rows starting a step join. The harness runs whole trajectories through
+it; etvbf_step is its one-step case and runs a single state unstacked.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .distributions import iw_mean_of_inverse, normalize_log_weights
 from .numerics import (
     Singular,
     digamma,
+    is_integer,
     log_multivariate_gamma,
     require_spd,
     spd_factor,
@@ -57,6 +56,8 @@ __all__ = [
     "update_meas_cov",
     "update_mixture",
     "check_convergence",
+    "sweep",
+    "run_rows",
     "etvbf_step",
 ]
 
@@ -74,6 +75,7 @@ class FilterConfig:
     trigger: TriggerConfig
     max_iterations: int = 50
     tol: float = 1e-6  # relative state-change threshold ending the sweep loop
+    log_norm_const: np.ndarray = field(init=False, repr=False)  # n g log2 / 2, log Gamma_n(g / 2)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
@@ -93,8 +95,11 @@ class FilterConfig:
             raise ValueError("rho must lie in (0, 1]")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
+        const = [0.5 * n * self.dof_g * math.log(2.0)]
+        const.append([log_multivariate_gamma(n, 0.5 * g) for g in self.dof_g])
+        object.__setattr__(self, "log_norm_const", np.array(const))
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class IterationState:
 
     predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
     alpha_prior); the updates rebind the iterates and never write into any
-    array, so an array of one sweep is never changed by a later one.
+    array, so only run_rows writes, into the arrays of its latest sweep.
     """
 
     x_pred: np.ndarray
@@ -133,6 +138,7 @@ class IterationState:
     alpha: np.ndarray
     p_tilde: np.ndarray  # G / g, the working predicted covariance
     r_tilde: np.ndarray  # S / s, the working measurement covariance
+    sweeps: np.ndarray  # sweeps run: 0 from predict, one count per row of a stack
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,12 @@ def take_rows(stack, rows):
     return type(stack)(**{k: v[rows] for k, v in vars(stack).items()})
 
 
+def join_rows(stacks):
+    """The same dataclass holding the rows of each stack in turn."""
+    fields = vars(stacks[0])
+    return type(stacks[0])(**{k: np.concatenate([vars(s)[k] for s in stacks]) for k in fields})
+
+
 def _per_matrix(v) -> np.ndarray:
     """A per-row scalar (or a plain scalar) shaped to scale a stack of matrices."""
     return np.asarray(v)[..., None, None]
@@ -186,12 +198,10 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     The state is propagated, the covariance bank built and old dofs
     forgotten; the bank starts weighted by the Dirichlet mean of its weights.
     """
-    n = F.shape[0]
-    fpf = symmetrize(F @ prev.P @ F.T)
+    fpf = symmetrize(F @ prev.P @ F.mT)
     g_j = cfg.dof_g[:, None, None] * (fpf[..., None, :, :] + cfg.nominal_q)
-    log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
     log_det_j = spd_factor(g_j).log_det()
-    log_norm_j = 0.5 * cfg.dof_g * log_det_j - 0.5 * n * cfg.dof_g * math.log(2.0) - log_gamma_j
+    log_norm_j = 0.5 * cfg.dof_g * log_det_j - cfg.log_norm_const[0] - cfg.log_norm_const[1]
     x_pred = np.matvec(F, prev.x_hat)
     s_prior, S_prior, alpha_prior = cfg.rho * prev.s, cfg.rho * prev.S, cfg.rho * prev.alpha
     chi0 = alpha_prior / alpha_prior.sum(axis=-1, keepdims=True)
@@ -202,7 +212,7 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
         x_pred=x_pred, G_j=g_j, log_norm_j=log_norm_j,
         s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
         x=x_pred, P=p0, g=g0, G=big_g0, s=s_prior, S=S_prior, chi=chi0, alpha=alpha_prior,
-        p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior),
+        p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior), sweeps=np.zeros_like(g0, dtype=int),
     )
 
 
@@ -210,7 +220,7 @@ def kalman_update(
     x_pred: np.ndarray, p_pred: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmission branch: standard gain update of (x_pred, p_pred) with z ~ N(Hx, R)."""
-    ph_t = p_pred @ H.T
+    ph_t = p_pred @ H.mT
     gain_t = spd_factor(symmetrize(H @ ph_t) + R).solve(ph_t.mT)
     x_hat = x_pred + np.matvec(gain_t.mT, z - np.matvec(H, x_pred))
     p_hat = symmetrize(p_pred - ph_t @ gain_t)
@@ -231,8 +241,8 @@ def silent_update(
     small trigger weights used in practice). The estimate stays at the
     prediction.
     """
-    m, n = H.shape
-    ph_t = p_pred @ H.T
+    m, n = H.shape[-2:]
+    ph_t = p_pred @ H.mT
     c = symmetrize(H @ ph_t) + R
     gain_core = np.eye(m) + Y @ c
     try:
@@ -260,9 +270,9 @@ def by_branch(sent, transmit, silent):
     single state stays unstacked; a mixed stack runs each branch on its
     rows and scatters the results back by mask.
     """
-    if sent.all():
+    if (count := np.count_nonzero(sent)) == sent.size:
         return transmit(...)
-    if not sent.any():
+    if not count:
         return silent(...)
     unsent, merged = ~sent, []
     for sent_part, silent_part in zip(transmit(sent), silent(unsent)):
@@ -278,7 +288,7 @@ def update_joint_no_meas(
     """No-transmission branch with the working covariances: (x, P, B), see silent_update."""
     P, p_xz, p_zz = silent_update(p_tilde, H, r_tilde, Y)
     hp_xz = H @ p_xz
-    return x_pred.copy(), P, H @ P @ H.T - hp_xz.mT - hp_xz + p_zz
+    return x_pred.copy(), P, H @ P @ H.mT - hp_xz.mT - hp_xz + p_zz
 
 
 def update_state_meas(
@@ -287,7 +297,7 @@ def update_state_meas(
     """Transmission branch: (x, P, B) of the standard gain update with the working covariances."""
     x, P = kalman_update(x_pred, p_tilde, z, H, r_tilde)
     residual = z - np.matvec(H, x)
-    return x, P, residual[..., :, None] * residual[..., None, :] + H @ P @ H.T
+    return x, P, residual[..., :, None] * residual[..., None, :] + H @ P @ H.mT
 
 
 def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
@@ -344,8 +354,57 @@ def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
     return np.sqrt(np.vecdot(step, step)) <= tol * np.sqrt(np.vecdot(x_old, x_old))
 
 
-# Fields of IterationState that a row's last sweep leaves as the step's results.
-_RESULT_FIELDS = ("x", "P", "s", "S", "alpha", "p_tilde", "r_tilde", "chi")
+def sweep(it: IterationState, sent, z, H: np.ndarray, cfg: FilterConfig):
+    """One fixed-point sweep on every row of it; returns which rows stop after it.
+
+    Row i takes the branch update of sent[i] with z[i] and H[i]. A row stops
+    when its state changed by at most tol, or at its max_iterations-th sweep.
+    """
+    x_prev = it.x
+    it.x, it.P, B = by_branch(
+        sent,
+        lambda r: update_state_meas(it.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H[r]),
+        lambda r: update_joint_no_meas(
+            it.x_pred[r], it.p_tilde[r], it.r_tilde[r], H[r], cfg.trigger.Y
+        ),
+    )
+    update_meas_cov(it, B)
+    update_predicted_cov(it, cfg)
+    update_mixture(it, cfg)
+    it.sweeps = it.sweeps + 1
+    return check_convergence(it.x, x_prev, cfg.tol) | (it.sweeps == cfg.max_iterations)
+
+
+def run_rows(work, inputs, advance, retire) -> None:
+    """The sweep loop: rounds of advance on every row, until retire starts no more rows.
+
+    inputs are per-row arrays, the last the rows' ids. advance(work, inputs)
+    runs a round, rebinding the arrays of work it changes, and returns which
+    rows finished: a mask, or True for all. retire, the one place rows leave
+    and join, takes them (their arrays are the results) and returns the work
+    and inputs of at most as many rows starting a step, or None; these take
+    the places that left, in arrays the loop owns, and the rest close up.
+    Rows that all finish together reach retire as they are, unstacked.
+    """
+    while True:
+        done = advance(work, inputs)
+        if done is True or np.count_nonzero(done) == done.size:
+            joining = retire(work, inputs)
+            if joining is None:
+                return
+            work, inputs = joining
+            continue
+        left = np.flatnonzero(done)
+        if left.size:
+            joining = retire(take_rows(work, left), tuple(a[left] for a in inputs))
+            places = left[: 0 if joining is None else joining[1][-1].size]
+            if places.size:
+                to, new = (*vars(work).values(), *inputs), (*vars(joining[0]).values(), *joining[1])
+                for array, rows in zip(to, new):
+                    array[places] = rows
+            if places.size < left.size:
+                keep = np.delete(np.arange(done.size), left[places.size :])
+                work, inputs = take_rows(work, keep), tuple(a[keep] for a in inputs)
 
 
 def etvbf_step(
@@ -358,43 +417,19 @@ def etvbf_step(
     """One full filter step: prediction, fixed-point sweeps, posterior extraction.
 
     A single state and a stack, which takes an outcome with one gamma per
-    row, run the same sweep loop. Each row sweeps until it converges and
-    then leaves the loop, so its result is exactly what stepping it alone
+    row, run one step of the run_rows sweep loop. Each row sweeps until it
+    stops and then leaves, so its result is exactly what stepping it alone
     would give. A gamma not shaped like the state's rows raises ValueError.
     """
-    sent, z = sent_rows(outcome, state), outcome.measurement
-    it = predict(state, F, cfg)
-    # The updates rebind the fields of it and never write into their arrays.
-    # So the arrays of the sweep where the first rows stop hold those rows'
-    # results at their input rows; they become the step's results, and rows
-    # that sweep on in the compacted stack are written into them as they stop.
-    final, rows = it, np.arange(sent.size)  # rows: the input row of each row still sweeping
-    x_prev = it.x
-    for sweep in range(1, cfg.max_iterations + 1):
-        it.x, it.P, B = by_branch(
-            sent,
-            lambda r: update_state_meas(it.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H),
-            lambda r: update_joint_no_meas(
-                it.x_pred[r], it.p_tilde[r], it.r_tilde[r], H, cfg.trigger.Y
-            ),
-        )
-        update_meas_cov(it, B)
-        update_predicted_cov(it, cfg)
-        update_mixture(it, cfg)
-        done = check_convergence(it.x, x_prev, cfg.tol) | (sweep == cfg.max_iterations)
-        stopped = np.count_nonzero(done)  # a single state's 0-d flag stops all rows or none
-        if stopped:
-            if it is final:  # the first rows to stop; a numpy integer for a single state
-                iterations = sweep + np.zeros(sent.shape, dtype=int)
-            else:
-                for f in _RESULT_FIELDS:
-                    getattr(final, f)[rows[done]] = getattr(it, f)[done]
-                iterations[rows[done]] = sweep
-            if stopped == done.size:
-                break
-            keep = ~done
-            rows, sent, z = rows[keep], sent[keep], z[keep]
-            it = take_rows(it, keep)
-        x_prev = it.x
+    sent = sent_rows(outcome, state)
+    rows = np.arange(sent.size).reshape(sent.shape)
+    inputs = (sent, outcome.measurement, np.broadcast_to(H, sent.shape + H.shape[-2:]), rows)
+    stopped = []  # the rows that stop in each round, and their ids
+    run_rows(predict(state, F, cfg), inputs, lambda it, i: sweep(it, *i[:3], cfg),
+             lambda it, i: stopped.append((it, i[-1])))
+    final = stopped[0][0]
+    if len(stopped) > 1:  # rows that stopped apart, put back in their input order
+        order = np.argsort(np.concatenate([i for _, i in stopped]))
+        final = take_rows(join_rows([it for it, _ in stopped]), order)
     new_state = FilterState(final.x, final.P, final.s, final.S, final.alpha)
-    return new_state, StepDiagnostics(iterations, final.p_tilde, final.r_tilde, final.chi)
+    return new_state, StepDiagnostics(final.sweeps, final.p_tilde, final.r_tilde, final.chi)

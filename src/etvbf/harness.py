@@ -4,12 +4,12 @@ Trials are deterministic given (config, filter id, trial index). Truth
 and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while
 each triggered filter's draws come from a filter-local stream. All four
-filters run through one step loop; a filter id only selects the step
-function (etvbf_step, or clset_kf_step with nominal or true covariances)
-and whether the sensor trigger or an always-transmit outcome decides
-each step. The loop steps a stack of trials in lockstep, one
-filter call per time step for the whole stack; a trial's record is the
-same whichever trials it runs with.
+filters run through one engine, the filter module's run_rows loop; a
+filter id only selects how a row's step begins and advances (predict,
+then one sweep a round, or clset_kf_step with nominal or true
+covariances) and whether the sensor trigger or an always-transmit outcome
+decides each step. Each trial advances in time on its own, so a trial's
+record is the same whichever trials it runs with.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -25,9 +24,10 @@ import numpy as np
 
 from .baselines import KfState, clset_kf_step
 from .distributions import SeededRng, sample_gaussian
-from .filter import FilterConfig, etvbf_step, initial_state, take_rows
+from .filter import FilterConfig, FilterState, initial_state, join_rows, predict, run_rows
+from .filter import sweep, take_rows
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
-from .numerics import NotPositiveDefinite, Singular
+from .numerics import NotPositiveDefinite, Singular, is_integer
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
 
 __all__ = [
@@ -85,9 +85,9 @@ class ExperimentConfig:
         object.__setattr__(
             self, "nominal_q_scales", tuple(float(v) for v in self.nominal_q_scales)
         )
-        counts = (self.n_mc, self.n_step, self.base_seed)
-        if not all(isinstance(v, numbers.Integral) for v in counts):
-            raise ValueError("n_mc, n_step and base_seed must be integers")
+        for name in ("n_mc", "n_step", "base_seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_mc < 1 or self.n_step < 1:
             raise ValueError("n_mc and n_step must be at least 1")
         if self.base_seed < 0:
@@ -182,42 +182,34 @@ def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     )
 
 
-def _trigger_stream(cfg: ExperimentConfig, trial_index: int, filter_id: str) -> SeededRng:
-    return SeededRng((cfg.base_seed, trial_index, zlib.crc32(filter_id.encode("utf-8"))))
+def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, model: ModelSpec,
+                    x0_hat: np.ndarray, p0: np.ndarray):
+    """One filter's initial state, begin, advance and finish, and whether the trigger drives it.
 
-
-def _resolve_filter(
-    filter_id: str,
-    cfg: ExperimentConfig,
-    fcfg: FilterConfig,
-    model: ModelSpec,
-    x0_hat: np.ndarray,
-    p0: np.ndarray,
-):
-    """Initial state and step function of one filter, and whether the trigger drives it.
-
-    The step maps (state, k, F_k, H_k, outcome) to (state, sweeps per row)
-    for a stack of states. Both Kalman baselines step through clset_kf_step
-    and report zero sweeps; they differ only in their covariances, the
-    nominal ones for clset-kf and the true Q_k, R_k for the oracle.
-    Untriggered filters are handed an always-transmit outcome.
+    The variational filters begin a step with predict and advance one sweep
+    a round. Both Kalman baselines take their whole step, clset_kf_step, in
+    begin, with the nominal covariances for clset-kf and the true Q_k, R_k
+    for the oracle. Untriggered filters get an always-transmit outcome.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
-
-        def step(state, k, f_k, h_k, outcome):
-            state, diag = etvbf_step(state, f_k, h_k, outcome, fcfg)
-            return state, diag.iterations
-
-        return initial_state(x0_hat, p0, fcfg), step, filter_id == FILTER_ETVBF
+        return (
+            initial_state(x0_hat, p0, fcfg),
+            lambda state, kr, f, h, outcome: predict(state, f, fcfg),
+            lambda it, inputs: sweep(it, *inputs[:3], fcfg),
+            lambda it: (FilterState(it.x, it.P, it.s, it.S, it.alpha), it.sweeps),
+            filter_id == FILTER_ETVBF,
+        )
     kf_state = KfState(x_hat=x0_hat, P=np.broadcast_to(p0, x0_hat.shape[:1] + p0.shape).copy())
     nominal = filter_id == FILTER_CLSET  # the triggered clset-kf; the oracle gets Q_k, R_k
     q_bar = cfg.clset_q_scale * np.eye(model.n)
+    covs = (lambda k: q_bar, lambda k: fcfg.r0) if nominal else (model.trueQ, model.trueR)
+    q_tab, r_tab = (np.array([cov(k) for k in range(1, cfg.n_step + 1)]) for cov in covs)
 
-    def step(state, k, f_k, h_k, outcome):
-        q_k, r_k = (q_bar, fcfg.r0) if nominal else (model.trueQ(k), model.trueR(k))
-        return clset_kf_step(state, f_k, h_k, q_k, r_k, fcfg.trigger.Y, outcome), 0
+    def begin(state, kr, f, h, outcome):
+        q, r = q_tab.take(kr, axis=0), r_tab.take(kr, axis=0)
+        return clset_kf_step(state, f, h, q, r, fcfg.trigger.Y, outcome)
 
-    return kf_state, step, nominal
+    return kf_state, begin, lambda work, inputs: True, lambda work: (work, 0), nominal
 
 
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:
@@ -226,24 +218,24 @@ def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialR
 
 
 def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[TrialRecord]:
-    """Simulate the closed sensor-estimator loops of several trials in lockstep.
+    """Simulate the closed sensor-estimator loops of several trials as one ragged stack.
 
-    The trials' states form one stack that each filter call steps at once.
-    The initial estimate is drawn from the truth stream before the
-    trajectory, so every filter starts from the same estimate and sees
-    the same truth; the trajectories of all trials are simulated as one
-    stack, and each trial draws its trigger decisions from its own
-    stream. A step that raises NotPositiveDefinite or Singular is retried
-    one trial at a time: the trials that fail again are recorded failed at
-    that step with the exception text, and the others are stepped again as
-    one stack and go on. So every record equals the one its trial gives
-    when run alone. A trial index that is not a non-negative integer
+    The trials' rows run through run_rows together, each at its own step
+    k: a row that finishes step k is recorded there, takes the trigger
+    draw for k+1 from its own stream, and starts k+1 in the next round.
+    F_k, H_k (and the oracle's Q_k, R_k) come from tables built once per
+    run. Every filter starts from the same estimate, drawn from the truth
+    stream before the trajectory, and sees the same truth. When a round
+    raises NotPositiveDefinite or Singular, each running trial's step is
+    run again alone: those that fail again are recorded failed at their
+    own step with the exception text, and the others start their step
+    again, together. A trial index that is not a non-negative integer
     raises ValueError.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
     trial_indices = list(trial_indices)
-    bad = [t for t in trial_indices if not isinstance(t, numbers.Integral) or t < 0]
+    bad = [t for t in trial_indices if not is_integer(t) or t < 0]
     if bad:
         raise ValueError(f"trial indices must be non-negative integers, got {bad}")
     model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
@@ -255,62 +247,83 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     x0_hat = np.array([sample_gaussian(rng, x0, p0) for rng in truth_rngs])
     traj = simulate_truth(model, x0, cfg.n_step, truth_rngs)
     truth, measurements = traj.states, traj.measurements
-    trig_rngs = [_trigger_stream(cfg, t, filter_id) for t in trial_indices]
-    state, step, triggered = _resolve_filter(filter_id, cfg, fcfg, model, x0_hat, p0)
+    key = zlib.crc32(filter_id.encode("utf-8"))  # each triggered filter's own streams
+    trig_rngs = [SeededRng((cfg.base_seed, t, key)) for t in trial_indices]
+    start, begin, advance, finish, triggered = _resolve_filter(
+        filter_id, cfg, fcfg, model, x0_hat, p0
+    )
+    f_tab, h_tab = (np.array([m(k) for k in range(1, cfg.n_step + 1)]) for m in (model.F, model.H))
 
     count = len(trial_indices)
     estimate = np.full((count, cfg.n_step, model.n), np.nan)
-    gamma = np.zeros((count, cfg.n_step), dtype=int)
-    iterations = np.zeros((count, cfg.n_step), dtype=int)
+    gamma, iterations = np.zeros((2, count, cfg.n_step), dtype=int)
     records = [
-        TrialRecord(
-            trial_index=t,
-            filter_id=filter_id,
-            truth=truth[i],
-            estimate=estimate[i],
-            gamma=gamma[i],
-            iterations=iterations[i],
-        )
+        TrialRecord(t, filter_id, truth[i], estimate[i], gamma[i], iterations[i])
         for i, t in enumerate(trial_indices)
     ]
+    # Trial row i's step index kr is entry i * n_step + kr of the flat record arrays.
+    flat = estimate.reshape(-1, model.n), gamma.reshape(-1), iterations.reshape(-1)
+    # steps[i] is the (rows, kr, state, outcome) that started trial row i's current step.
+    steps, running = [None] * count, np.ones(count, dtype=bool)
 
-    live = np.arange(count)  # the trials not failed, in trial order
-    for k in range(1, cfg.n_step + 1):
-        f_k, h_k = model.F(k), model.H(k)
-        z_k = measurements[live, k - 1]
-        if triggered:
-            z_pred = np.matvec(h_k, np.matvec(f_k, state.x_hat))
-            outcome = sensor_decide(z_k, z_pred, fcfg.trigger, [trig_rngs[i] for i in live])
-        else:
-            outcome = TriggerOutcome(gamma=np.ones(live.size, dtype=int), measurement=z_k)
+    def enter(rows, kr, prev, outcome=None):
+        """Start step kr + 1 of rows from prev; with no outcome, draw it and keep the start."""
+        f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
+        if outcome is None:
+            z_k, ids = measurements[rows, kr], rows.tolist()
+            if triggered:
+                z_pred = np.matvec(h, np.matvec(f, prev.x_hat))
+                outcome = sensor_decide(z_k, z_pred, fcfg.trigger, [trig_rngs[i] for i in ids])
+            else:
+                outcome = TriggerOutcome(gamma=np.ones(rows.size, dtype=int), measurement=z_k)
+            entry = (rows, kr, prev, outcome)
+            for i in ids:
+                steps[i] = entry
+        # run_rows writes into its inputs, so they share no array with a kept start.
+        inputs = (outcome.gamma == 1, outcome.measurement.copy(), h, kr.copy(), rows.copy())
+        return begin(prev, kr, f, h, outcome), inputs
+
+    def retire(work, inputs):
+        """Record the rows that finished a step at their own k, and start their next step."""
+        kr, rows = inputs[-2], inputs[-1]
+        new, sweeps = finish(work)
+        at = rows * cfg.n_step + kr
+        flat[0][at], flat[1][at], flat[2][at] = new.x_hat, inputs[0], sweeps
+        go = kr < cfg.n_step - 1
+        if (going := np.count_nonzero(go)) < go.size:
+            running[rows[~go]] = False
+            if not going:
+                return None
+            rows, kr, new = rows[go], kr[go], take_rows(new, go)
+        return enter(rows, kr + 1, new)
+
+    def kept(i):
+        """Trial row i's current step index, start state and outcome, as one-row stacks."""
+        rows, kr, prev, outcome = steps[i]
+        j = np.flatnonzero(rows == i)
+        return kr[j], take_rows(prev, j), take_rows(outcome, j)
+
+    def restart(rows):
+        kr, prev, outcome = zip(*(kept(i) for i in rows.tolist()))
+        return enter(rows, np.concatenate(kr), join_rows(prev), join_rows(outcome))
+
+    rows, fresh = np.arange(count), True
+    while rows.size:
         try:
-            state, sweeps = step(state, k, f_k, h_k, outcome)
-        except (NotPositiveDefinite, Singular):
-            ok = _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live)
-            if not ok.any():
-                break
-            live, state, outcome = live[ok], take_rows(state, ok), take_rows(outcome, ok)
-            state, sweeps = step(state, k, f_k, h_k, outcome)
-        estimate[live, k - 1] = state.x_hat
-        gamma[live, k - 1] = outcome.gamma
-        iterations[live, k - 1] = sweeps
+            run_rows(*(enter(rows, 0 * rows, start) if fresh else restart(rows)), advance, retire)
+            break
+        except (NotPositiveDefinite, Singular):  # run each running row's step again, alone
+            fresh, rows = False, np.flatnonzero(running)
+            for i in rows.tolist():
+                try:
+                    run_rows(*restart(np.array([i])), advance, lambda work, inputs: None)
+                except (NotPositiveDefinite, Singular) as exc:
+                    running[i], rec, k = False, records[i], int(kept(i)[0][0]) + 1
+                    rec.failed, rec.fail_step, rec.fail_reason = True, k, str(exc)
+            if running[rows].all():
+                raise  # only rows that fail alone can have failed the round
+            rows = rows[running[rows]]
     return records
-
-
-def _step_rows_alone(step, state, k, f_k, h_k, outcome, records, live):
-    """Retry a failed lockstep step one row at a time; record the rows that fail again.
-
-    Returns the mask of the rows that went through.
-    """
-    ok = np.ones(live.size, dtype=bool)
-    for row in range(live.size):
-        try:
-            step(take_rows(state, [row]), k, f_k, h_k, take_rows(outcome, [row]))
-        except (NotPositiveDefinite, Singular) as exc:
-            record = records[live[row]]
-            record.failed, record.fail_step, record.fail_reason = True, k, str(exc)
-            ok[row] = False
-    return ok
 
 
 def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:
@@ -324,28 +337,20 @@ def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:
     if not ok:
         return math.nan, math.nan, math.nan
     sq_sum = 0.0
-    count = 0
-    gamma_sum = 0
-    gamma_count = 0
-    iter_sum = 0
     for rec in ok:
         err = rec.estimate - rec.truth
         sq_sum += float(np.sum(err * err))
-        count += err.size
-        gamma_sum += int(rec.gamma.sum())
-        gamma_count += rec.gamma.size
-        iter_sum += int(rec.iterations.sum())
-    rmse = math.sqrt(sq_sum / count)
-    comm_rate = gamma_sum / gamma_count
-    mean_iterations = iter_sum / gamma_count
-    return rmse, comm_rate, mean_iterations
+    rmse = math.sqrt(sq_sum / sum(r.estimate.size for r in ok))
+    steps = sum(r.gamma.size for r in ok)
+    sent, sweeps = (sum(int(getattr(r, f).sum()) for r in ok) for f in ("gamma", "iterations"))
+    return rmse, sent / steps, sweeps / steps
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run all filters over the sweep grid; one row per (value, filter).
 
-    Each cell steps its n_mc trials in lockstep and folds their records in
-    trial order, so the same config always gives the same rows.
+    Each cell runs its n_mc trials as one ragged stack and folds their
+    records in trial order, so the same config always gives the same rows.
     """
     if cfg.sweep_param is None or not cfg.sweep_grid:
         raise ValueError("run_sweep needs sweep_param and a nonempty sweep_grid")
@@ -355,17 +360,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         for filter_id in cfg.filters:
             records = run_trials(point_cfg, filter_id, range(cfg.n_mc))
             failures = sum(1 for r in records if r.failed)
-            rmse, comm_rate, mean_iter = compute_metrics(records)
-            rows.append(
-                SweepRow(
-                    sweep_value=value,
-                    filter=filter_id,
-                    rmse=rmse,
-                    comm_rate=comm_rate,
-                    mean_iterations=mean_iter,
-                    failures=failures,
-                )
-            )
+            rows.append(SweepRow(value, filter_id, *compute_metrics(records), failures))
     return rows
 
 

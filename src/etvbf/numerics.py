@@ -13,6 +13,7 @@ one explicit inverse of the triangular factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "NotPositiveDefinite",
     "Singular",
     "SpdFactor",
+    "is_integer",
     "require_spd",
     "symmetrize",
     "digamma",
@@ -35,6 +37,11 @@ class NotPositiveDefinite(Exception):
 
 class Singular(Exception):
     """A matrix that must be solved against is numerically singular."""
+
+
+def is_integer(v) -> bool:
+    """Whether v is an integer setting: a numbers.Integral, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from etvbf.filter import (
     update_state_meas,
 )
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
-from etvbf.numerics import spd_factor
+from etvbf.numerics import log_multivariate_gamma, spd_factor
 from etvbf.trigger import TriggerConfig, TriggerOutcome
 from helpers import dense_theta, random_spd
 
@@ -79,6 +79,17 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(make_config(), nominal_q=nominal_q)
 
+    def test_max_iterations_rejects_a_bool(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            dataclasses.replace(make_config(), max_iterations=True)
+
+    def test_log_norm_constants_are_derived_not_set(self):
+        cfg = make_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.log_norm_const = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cfg, log_norm_const=np.zeros((2, 2)))
+
     def test_accepts_tuple_of_matrices_as_stack(self):
         cfg = make_config(q_scales=(1.0, 2.0))
         assert cfg.nominal_q.shape == (2, 2, 2)
@@ -115,6 +126,22 @@ class TestPredict:
                 - scipy.special.multigammaln(0.5 * g_j, n)
             )
             assert log_norm == pytest.approx(expected, rel=1e-12, abs=1e-10)
+
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_log_normalisers_bitwise_the_per_call_expression(self, rows):
+        """The config's constant terms give bitwise the log_norm_j once built per call."""
+        rng = np.random.default_rng(16)
+        n = 4
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        x0_hat = rng.standard_normal(rows + (n,))
+        state = initial_state(x0_hat, random_spd(rng, n), cfg)
+        pred = predict(state, np.eye(n) + 0.1 * rng.standard_normal((n, n)), cfg)
+        log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
+        log_det_j = spd_factor(pred.G_j).log_det()
+        per_call = (
+            0.5 * cfg.dof_g * log_det_j - 0.5 * n * cfg.dof_g * math.log(2.0) - log_gamma_j
+        )
+        assert pred.log_norm_j.tobytes() == per_call.tobytes()
 
     def test_rho_one_keeps_priors(self):
         cfg = make_config(rho=1.0)
@@ -157,6 +184,47 @@ class TestPredict:
                 single = np.asarray(getattr(alone, field.name))
                 assert (row.shape, row.dtype) == (single.shape, single.dtype), field.name
                 assert row.tobytes() == single.tobytes(), (i, field.name)
+
+
+class TestPerRowMatrices:
+    @pytest.mark.parametrize("rows", [1, 7, 50])
+    def test_one_matrix_per_row_is_bitwise_the_shared_one(self, rows):
+        """predict, both branch updates and clset_kf_step given F, H (and Q, R) as
+        (B, ., .) stacks of one matrix give bitwise what the shared matrix gives."""
+        rng = np.random.default_rng(17)
+        n, m = 4, 2
+        cfg = make_config(n=n, m=m, q_scales=(1.0, 2.0, 3.0), rho=0.997, y_scale=0.015)
+        f = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        h, q, r = rng.standard_normal((m, n)), random_spd(rng, n), random_spd(rng, m)
+        per_row = [np.broadcast_to(a, (rows,) + a.shape).copy() for a in (f, h, q, r)]
+        stack = FilterState(
+            x_hat=rng.standard_normal((rows, n)),
+            P=np.array([random_spd(rng, n) for _ in range(rows)]),
+            s=rng.uniform(3.0, 9.0, rows),
+            S=np.array([random_spd(rng, m) for _ in range(rows)]),
+            alpha=rng.uniform(0.5, 3.0, (rows, 3)),
+        )
+
+        def same(a, b):
+            for x, y in zip(a, b):
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+        it = predict(stack, f, cfg)
+        same(vars(it).values(), vars(predict(stack, per_row[0], cfg)).values())
+        z = rng.standard_normal((rows, m))
+        args = (it.x_pred, it.p_tilde, it.r_tilde)
+        same(update_state_meas(*args, z, h), update_state_meas(*args, z, per_row[1]))
+        same(
+            update_joint_no_meas(*args, h, cfg.trigger.Y),
+            update_joint_no_meas(*args, per_row[1], cfg.trigger.Y),
+        )
+        gamma = np.arange(rows) % 2
+        outcome = TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
+        kf = KfState(x_hat=stack.x_hat, P=stack.P)
+        same(
+            vars(clset_kf_step(kf, f, h, q, r, cfg.trigger.Y, outcome)).values(),
+            vars(clset_kf_step(kf, *per_row, cfg.trigger.Y, outcome)).values(),
+        )
 
 
 class TestInitIteration:

@@ -93,19 +93,32 @@ class TestLockstep:
     def test_no_trials_give_no_records(self, filter_id):
         assert run_trials(ExperimentConfig(**TINY), filter_id, []) == []
 
-    @pytest.mark.parametrize("index", [-1, 2.5])
+    @pytest.mark.parametrize("index", [-1, 2.5, True])
     def test_bad_trial_index_rejected_by_name(self, index):
         with pytest.raises(ValueError, match=rf"non-negative integers, got \[{index}\]"):
             run_trials(ExperimentConfig(**TINY), "clset-kf", [0, index])
 
     def test_failing_row_is_recorded_alone(self, monkeypatch):
         """A row forced to raise at step 5 fails there alone; the other rows go on unchanged."""
-        check_failing_row_recorded_alone(monkeypatch, "etvbf", "etvbf_step", [(3, 5)])
+        check_failing_row_recorded_alone(monkeypatch, "etvbf", "predict", [(3, 5)])
+
+    def test_row_failing_mid_step_beside_rows_at_other_steps(self, monkeypatch):
+        """A row that breaks in the second sweep of step 4 fails there alone.
+
+        The round that raises holds rows at other steps, and each of those
+        starts its own step again and goes on unchanged.
+        """
+        clean = run_trials(ExperimentConfig(n_step=12, base_seed=5), "etvbf", [2])[0]
+        assert clean.iterations[3] >= 2  # the step is still sweeping when it breaks
+        _, raised = check_failing_row_recorded_alone(
+            monkeypatch, "etvbf", "sweep", [(2, 4)], mid_step=True
+        )
+        assert len(np.unique(raised[0].s_prior)) > 1  # s_prior is one value per step k
 
     @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
     def test_failing_kalman_row_is_recorded_alone(self, monkeypatch, filter_id):
         """Both Kalman baselines step through clset_kf_step and retry rows alone with 0 sweeps."""
-        records = check_failing_row_recorded_alone(
+        records, _ = check_failing_row_recorded_alone(
             monkeypatch, filter_id, "clset_kf_step", [(3, 5)]
         )
         assert not any(r.iterations.any() for r in records)
@@ -116,24 +129,55 @@ class TestLockstep:
     @pytest.mark.parametrize("filter_id", ["etvbf", "clset-kf", "oracle-kf"])
     def test_failure_sequences_are_recorded_alone(self, monkeypatch, filter_id, failures):
         """Rows failing at different steps, or every row at one step, are each recorded alone."""
-        step_name = "etvbf_step" if filter_id == "etvbf" else "clset_kf_step"
-        check_failing_row_recorded_alone(monkeypatch, filter_id, step_name, failures)
+        name = "predict" if filter_id == "etvbf" else "clset_kf_step"
+        check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures)
 
 
-def check_failing_row_recorded_alone(monkeypatch, filter_id, step_name, failures):
-    """Force the step named step_name to raise on each (trial, step) and check every record."""
+class TestRaggedEngine:
+    def test_rounds_follow_the_slowest_trial_not_each_steps_slowest_row(self, monkeypatch):
+        """Each trial advances on its own, so the engine runs as many sweep rounds as the
+        largest per-trial sum of sweeps, not the sum over k of each step's largest count."""
+        rows_per_round = []
+        real = harness.sweep
+
+        def spy(it, *args):
+            rows_per_round.append(it.sweeps.size)
+            return real(it, *args)
+
+        monkeypatch.setattr(harness, "sweep", spy)
+        records = run_trials(ExperimentConfig(y_scale=0.005), "etvbf", range(20))
+        sweeps = np.array([r.iterations for r in records])
+        assert len(rows_per_round) == sweeps.sum(axis=1).max()
+        assert len(rows_per_round) < sweeps.max(axis=0).sum()
+        assert sum(rows_per_round) == sweeps.sum()  # every row sweep runs once
+
+
+def check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures, mid_step=False):
+    """Force harness.<name> to raise on each (trial, step) and check every record.
+
+    An engine round and a row's retry alone both call it. A trial's
+    estimate entering a step marks that trial at that step: as the state
+    given to predict or clset_kf_step, or, mid_step, as F times it, the
+    x_pred that a sweep refines, from the step's second sweep on. Returns
+    the records, and the first argument of every call that raised.
+    """
     cfg = ExperimentConfig(n_step=12, base_seed=5)
     clean = run_trials(cfg, filter_id, range(6))
-    # A trial's estimate entering a step marks that trial at that step.
     targets = np.array([clean[t].estimate[k - 2] for t, k in failures])
-    real_step = getattr(harness, step_name)
+    if mid_step:
+        targets = np.matvec(build_cv_scenario(cfg.sample_time, cfg.cosine_period).F(1), targets)
+    real = getattr(harness, name)
+    raised = []
 
-    def step(state, *args):
-        if np.all(state.x_hat[..., None, :] == targets, axis=-1).any():
+    def forced(work, *args):
+        marks = work.x_pred if mid_step else work.x_hat
+        hit = np.all(marks[..., None, :] == targets, axis=-1).any(axis=-1)
+        if (hit & (work.sweeps >= 1) if mid_step else hit).any():
+            raised.append(work)
             raise NotPositiveDefinite("forced breakdown")
-        return real_step(state, *args)
+        return real(work, *args)
 
-    monkeypatch.setattr(harness, step_name, step)
+    monkeypatch.setattr(harness, name, forced)
     records = run_trials(cfg, filter_id, range(6))
     fail_steps = dict(failures)
     assert [r.fail_step for r in records] == [fail_steps.get(t) for t in range(6)]
@@ -144,7 +188,7 @@ def check_failing_row_recorded_alone(monkeypatch, filter_id, step_name, failures
     others = [t for t in range(6) if t not in fail_steps]
     for got, expected in zip([records[t] for t in others], run_trials(cfg, filter_id, others)):
         assert_same_record(got, expected)
-    return records
+    return records, raised
 
 
 class TestTruth:
@@ -412,6 +456,14 @@ class TestConfig:
         """Every grid point is checked by its field's own rule, and no setting waits for a trial."""
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_mc", True), ("n_step", True), ("base_seed", False), ("max_iterations", True)],
+    )
+    def test_bool_is_not_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
 
     def test_roundtrip_through_dict(self):
         cfg = ExperimentConfig(**TINY)
