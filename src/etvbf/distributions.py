@@ -5,7 +5,8 @@ given its dof and one Cholesky factor of its scale, and normalised
 mixture weights from log weights; both work along any leading trial axes.
 E{log|P|} and E{log mu_j} are formed in the mixture update, which makes
 one digamma call for both. Sampling is limited to what the simulation
-needs: Gaussian noise and, through SeededRng.uniform, the trigger draws.
+needs: Gaussian noise and the trigger's uniform draws, one at a time
+(SeededRng.uniform) or a trial's whole table at once (SeededRng.uniforms).
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class SeededRng:
     def uniform(self) -> float:
         """Uniform draw over [0, 1)."""
         return float(self._gen.random())
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count uniform draws over [0, 1): bitwise count calls of uniform."""
+        return self._gen.random(count)
 
     def standard_normal(self, size: int) -> np.ndarray:
         return self._gen.standard_normal(size)

@@ -2,14 +2,15 @@
 
 Trials are deterministic given (config, filter id, trial index). Truth
 and noise come from a stream keyed by (base_seed, trial_index) only, so
-all filters see identical trajectories (common random numbers), while
-each triggered filter's draws come from a filter-local stream. All four
-filters run through one engine, the filter module's run_rows loop; a
-filter id only selects how a row's step begins and advances (predict,
-then one sweep a round, or clset_kf_step with nominal or true
-covariances) and whether the sensor trigger or an always-transmit outcome
-decides each step. Each trial advances in time on its own, so a trial's
-record is the same whichever trials it runs with.
+all filters see identical trajectories (common random numbers), while a
+triggered filter draws each trial's trigger uniforms as one table from a
+filter-local stream. All four filters run through one engine, the filter
+module's run_rows loop; a filter id only selects how a row's step begins
+and advances (predict, then one sweep a round, or clset_kf_step with
+nominal or true covariances) and whether the sensor trigger or an
+always-transmit outcome decides each step. Each trial advances in time on
+its own, so its record is the same whichever trials it runs with, and a
+trial caught in a failed round can be run again alone from its start.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 
 from .baselines import KfState, clset_kf_step
 from .distributions import SeededRng, sample_gaussian
-from .filter import FilterConfig, FilterState, initial_state, join_rows, predict, run_rows
-from .filter import sweep, take_rows
+from .filter import FilterConfig, FilterState, initial_state, predict, run_rows, sweep, take_rows
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular, is_integer
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
@@ -85,13 +85,10 @@ class ExperimentConfig:
         object.__setattr__(
             self, "nominal_q_scales", tuple(float(v) for v in self.nominal_q_scales)
         )
-        for name in ("n_mc", "n_step", "base_seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_mc < 1 or self.n_step < 1:
-            raise ValueError("n_mc and n_step must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
+        for name, least in (("n_mc", 1), ("n_step", 1), ("cosine_period", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not self.filters:
             raise ValueError(f"filters must name at least one of {FILTER_IDS}")
         unknown = set(self.filters) - set(FILTER_IDS)
@@ -221,16 +218,17 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     """Simulate the closed sensor-estimator loops of several trials as one ragged stack.
 
     The trials' rows run through run_rows together, each at its own step
-    k: a row that finishes step k is recorded there, takes the trigger
-    draw for k+1 from its own stream, and starts k+1 in the next round.
-    F_k, H_k (and the oracle's Q_k, R_k) come from tables built once per
-    run. Every filter starts from the same estimate, drawn from the truth
-    stream before the trajectory, and sees the same truth. When a round
-    raises NotPositiveDefinite or Singular, each running trial's step is
-    run again alone: those that fail again are recorded failed at their
-    own step with the exception text, and the others start their step
-    again, together. A trial index that is not a non-negative integer
-    raises ValueError.
+    k: a row that finishes step k is recorded there and starts k+1 in the
+    next round. A triggered filter draws each trial's n_step trigger
+    uniforms at once from the trial's own stream. F_k, H_k (and the
+    oracle's Q_k, R_k) come from tables built once per run. Every filter
+    starts from the same estimate, drawn from the truth stream before the
+    trajectory, and sees the same truth. When a round raises
+    NotPositiveDefinite or Singular, a lone trial is recorded failed at
+    its first unrecorded step with the exception text; otherwise each
+    trial still running is run again alone from its start, which gives
+    the record it has in any stack. A trial index that is not a
+    non-negative integer raises ValueError.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
@@ -247,11 +245,12 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     x0_hat = np.array([sample_gaussian(rng, x0, p0) for rng in truth_rngs])
     traj = simulate_truth(model, x0, cfg.n_step, truth_rngs)
     truth, measurements = traj.states, traj.measurements
-    key = zlib.crc32(filter_id.encode("utf-8"))  # each triggered filter's own streams
-    trig_rngs = [SeededRng((cfg.base_seed, t, key)) for t in trial_indices]
     start, begin, advance, finish, triggered = _resolve_filter(
         filter_id, cfg, fcfg, model, x0_hat, p0
     )
+    if triggered:  # one row of draws per trial, from each triggered filter's own streams
+        key, n = zlib.crc32(filter_id.encode("utf-8")), cfg.n_step
+        zeta = np.array([SeededRng((cfg.base_seed, t, key)).uniforms(n) for t in trial_indices])
     f_tab, h_tab = (np.array([m(k) for k in range(1, cfg.n_step + 1)]) for m in (model.F, model.H))
 
     count = len(trial_indices)
@@ -263,24 +262,17 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     ]
     # Trial row i's step index kr is entry i * n_step + kr of the flat record arrays.
     flat = estimate.reshape(-1, model.n), gamma.reshape(-1), iterations.reshape(-1)
-    # steps[i] is the (rows, kr, state, outcome) that started trial row i's current step.
-    steps, running = [None] * count, np.ones(count, dtype=bool)
 
-    def enter(rows, kr, prev, outcome=None):
-        """Start step kr + 1 of rows from prev; with no outcome, draw it and keep the start."""
+    def enter(rows, kr, prev):
+        """Start step kr + 1 of rows from prev, with the trigger's outcome for it."""
         f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
-        if outcome is None:
-            z_k, ids = measurements[rows, kr], rows.tolist()
-            if triggered:
-                z_pred = np.matvec(h, np.matvec(f, prev.x_hat))
-                outcome = sensor_decide(z_k, z_pred, fcfg.trigger, [trig_rngs[i] for i in ids])
-            else:
-                outcome = TriggerOutcome(gamma=np.ones(rows.size, dtype=int), measurement=z_k)
-            entry = (rows, kr, prev, outcome)
-            for i in ids:
-                steps[i] = entry
-        # run_rows writes into its inputs, so they share no array with a kept start.
-        inputs = (outcome.gamma == 1, outcome.measurement.copy(), h, kr.copy(), rows.copy())
+        z_k = measurements[rows, kr]
+        if triggered:
+            z_pred = np.matvec(h, np.matvec(f, prev.x_hat))
+            outcome = sensor_decide(z_k, z_pred, fcfg.trigger, zeta[rows, kr])
+        else:
+            outcome = TriggerOutcome(gamma=np.ones(rows.size, dtype=int), measurement=z_k)
+        inputs = (outcome.gamma == 1, outcome.measurement, h, kr, rows)
         return begin(prev, kr, f, h, outcome), inputs
 
     def retire(work, inputs):
@@ -291,38 +283,23 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         flat[0][at], flat[1][at], flat[2][at] = new.x_hat, inputs[0], sweeps
         go = kr < cfg.n_step - 1
         if (going := np.count_nonzero(go)) < go.size:
-            running[rows[~go]] = False
             if not going:
                 return None
             rows, kr, new = rows[go], kr[go], take_rows(new, go)
         return enter(rows, kr + 1, new)
 
-    def kept(i):
-        """Trial row i's current step index, start state and outcome, as one-row stacks."""
-        rows, kr, prev, outcome = steps[i]
-        j = np.flatnonzero(rows == i)
-        return kr[j], take_rows(prev, j), take_rows(outcome, j)
-
-    def restart(rows):
-        kr, prev, outcome = zip(*(kept(i) for i in rows.tolist()))
-        return enter(rows, np.concatenate(kr), join_rows(prev), join_rows(outcome))
-
-    rows, fresh = np.arange(count), True
-    while rows.size:
-        try:
-            run_rows(*(enter(rows, 0 * rows, start) if fresh else restart(rows)), advance, retire)
-            break
-        except (NotPositiveDefinite, Singular):  # run each running row's step again, alone
-            fresh, rows = False, np.flatnonzero(running)
-            for i in rows.tolist():
-                try:
-                    run_rows(*restart(np.array([i])), advance, lambda work, inputs: None)
-                except (NotPositiveDefinite, Singular) as exc:
-                    running[i], rec, k = False, records[i], int(kept(i)[0][0]) + 1
-                    rec.failed, rec.fail_step, rec.fail_reason = True, k, str(exc)
-            if running[rows].all():
-                raise  # only rows that fail alone can have failed the round
-            rows = rows[running[rows]]
+    rows = np.arange(count)
+    try:
+        run_rows(*enter(rows, 0 * rows, start), advance, retire)
+    except (NotPositiveDefinite, Singular) as exc:
+        if count == 1:  # at its first unrecorded step
+            rec, k = records[0], int(np.isnan(estimate[0, :, 0]).argmax()) + 1
+            rec.failed, rec.fail_step, rec.fail_reason = True, k, str(exc)
+            return records
+        for i in np.flatnonzero(np.isnan(estimate[:, -1, 0])).tolist():
+            records[i] = run_trial(cfg, filter_id, trial_indices[i])
+        if not any(r.failed for r in records):
+            raise  # only trials that fail alone can have failed the round
     return records
 
 

@@ -2,13 +2,14 @@
 
 The sensor compares its measurement against the estimator-fed-back
 prediction and keeps the measurement to itself with probability
-exp(-0.5 e^T Y e), so small innovations are transmitted rarely.
+exp(-0.5 e^T Y e), so small innovations are transmitted rarely. Each
+decision takes one uniform draw: a single sensor takes it from its own
+stream, and a stack of B sensors is handed its B draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +81,21 @@ def trigger_probability(e: np.ndarray, cfg: TriggerConfig):
 
 
 def sensor_decide(
-    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, rng: SeededRng | Sequence[SeededRng]
+    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, zeta: SeededRng | np.ndarray
 ) -> TriggerOutcome:
-    """Draw zeta ~ U[0,1] and withhold the measurement when zeta <= exp(-0.5 e^T Y e).
+    """Withhold the measurement when a uniform draw zeta <= exp(-0.5 e^T Y e).
 
-    For a stack of B measurements, rng is a sequence of B streams, one per
-    row, and each row draws from its own stream in row order; any other
-    number of streams raises ValueError before a draw is made.
+    For a single measurement, zeta is the stream to draw it from. For a
+    stack of B measurements, zeta is the B draws, one per row; any other
+    number of draws raises ValueError.
     """
     z = np.asarray(z, dtype=float)
     phi = trigger_probability(z - z_pred, cfg)
     if z.ndim == 1:
-        if rng.uniform() <= phi:
+        if zeta.uniform() <= phi:
             return _SILENT
         return TriggerOutcome(gamma=1, measurement=z)
-    if len(rng) != len(z):
-        raise ValueError(f"{len(z)} measurement rows need as many trigger streams, got {len(rng)}")
-    zeta = np.array([row_rng.uniform() for row_rng in rng])
+    if len(zeta) != len(z):
+        raise ValueError(f"{len(z)} measurement rows need as many trigger draws, got {len(zeta)}")
     gamma = (zeta > phi).astype(int)
     return TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))

@@ -171,6 +171,14 @@ class TestSampling:
         assert abs(np.mean(draws < 0.25) - 0.25) < 0.006
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
+    @pytest.mark.parametrize("key", [0, 9, (20240, 3), (20240, 3, 3503022401)])
+    def test_uniforms_are_bitwise_single_draws(self, key):
+        """A table of n draws holds the doubles of n uniform calls, and the stream goes on alike."""
+        table, single = SeededRng(key), SeededRng(key)
+        draws = table.uniforms(150)
+        assert draws.tobytes() == np.array([single.uniform() for _ in range(150)]).tobytes()
+        assert table.uniform() == single.uniform()
+
     def test_tuple_seeds_give_distinct_streams(self):
         a = SeededRng((1, 2)).uniform()
         b = SeededRng((1, 3)).uniform()

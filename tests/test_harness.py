@@ -132,6 +132,20 @@ class TestLockstep:
         name = "predict" if filter_id == "etvbf" else "clset_kf_step"
         check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures)
 
+    def test_round_failure_no_trial_repeats_alone_is_raised(self, monkeypatch):
+        """A breakdown met only by stacks of two or more rows is no trial's failure: each
+        trial runs clean alone, so the round's exception is raised, not recorded."""
+        real = harness.sweep
+
+        def stacked_only(it, *args):
+            if it.sweeps.size >= 2:
+                raise NotPositiveDefinite("stack breakdown")
+            return real(it, *args)
+
+        monkeypatch.setattr(harness, "sweep", stacked_only)
+        with pytest.raises(NotPositiveDefinite, match="stack breakdown"):
+            run_trials(ExperimentConfig(**TINY), "etvbf", range(4))
+
 
 class TestRaggedEngine:
     def test_rounds_follow_the_slowest_trial_not_each_steps_slowest_row(self, monkeypatch):
@@ -441,6 +455,7 @@ class TestConfig:
             {"n_mc": 2.5},
             {"n_step": 2.5},
             {"max_iterations": 2.5},
+            {"cosine_period": 2.5},
             {"base_seed": 1.5},
             {"filters": ()},
         ],
@@ -449,7 +464,8 @@ class TestConfig:
             "sample-time-zero", "cosine-period-zero", "clset-q-negative", "clset-q-zero",
             "seed-negative", "filter-repeated", "grid-value-repeated", "tol-nan", "dof-g-nan",
             "alpha0-nan", "sample-time-nan", "cosine-period-nan", "n-mc-fraction",
-            "n-step-fraction", "max-iterations-fraction", "seed-fraction", "filters-empty",
+            "n-step-fraction", "max-iterations-fraction", "cosine-period-fraction",
+            "seed-fraction", "filters-empty",
         ],
     )
     def test_rejected_when_built(self, bad):
@@ -459,7 +475,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("n_mc", True), ("n_step", True), ("base_seed", False), ("max_iterations", True)],
+        [
+            ("n_mc", True), ("n_step", True), ("cosine_period", True), ("base_seed", False),
+            ("max_iterations", True),
+        ],
     )
     def test_bool_is_not_an_integer(self, name, value):
         with pytest.raises(ValueError, match=name):

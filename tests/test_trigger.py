@@ -119,11 +119,14 @@ class TestTriggerOutcome:
 
 class TestStackedDecide:
     def test_rows_match_single_decisions_from_own_streams(self):
+        """Row i's decision, given its stream's next uniform as its draw, is the one
+        that stream makes alone."""
         cfg = TriggerConfig(Y=0.3 * np.eye(2))
         rng = np.random.default_rng(8)
         z = 3.0 * rng.standard_normal((6, 2))
         z_pred = np.zeros((6, 2))
-        stacked = sensor_decide(z, z_pred, cfg, [SeededRng((4, i)) for i in range(6)])
+        draws = np.array([SeededRng((4, i)).uniform() for i in range(6)])
+        stacked = sensor_decide(z, z_pred, cfg, draws)
         assert set(stacked.gamma.tolist()) == {0, 1}
         for i in range(6):
             single = sensor_decide(z[i], z_pred[i], cfg, SeededRng((4, i)))
@@ -134,13 +137,13 @@ class TestStackedDecide:
             else:
                 assert np.isnan(stacked.measurement[i]).all()
 
-    @pytest.mark.parametrize("streams", [1, 5])
-    def test_stream_count_must_match_rows(self, streams):
-        """Three rows with one stream would share one draw; with five the draws would not fit."""
-        rngs = [SeededRng((4, i)) for i in range(streams)]
-        with pytest.raises(ValueError, match=f"3 measurement rows .* got {streams}"):
-            sensor_decide(np.ones((3, 2)), np.zeros((3, 2)), TriggerConfig(Y=np.eye(2)), rngs)
-        assert [r.uniform() for r in rngs] == [SeededRng((4, i)).uniform() for i in range(streams)]
+    @pytest.mark.parametrize("draws", [1, 5])
+    def test_draw_count_must_match_rows(self, draws):
+        """Three rows with one draw would share it; with five the draws would not fit."""
+        with pytest.raises(ValueError, match=f"3 measurement rows .* trigger draws, got {draws}"):
+            sensor_decide(
+                np.ones((3, 2)), np.zeros((3, 2)), TriggerConfig(Y=np.eye(2)), np.full(draws, 0.5)
+            )
 
 
 class TestTriggerConfig:
