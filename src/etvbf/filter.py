@@ -14,12 +14,11 @@ rows by trigger outcome, here and in the known-covariance Kalman
 baselines, which reuse kalman_update and silent_update, plain functions of
 a predicted covariance.
 
-Every function takes one filter state, or a stack of B of them along a
-leading row axis (x_hat of shape (B, n), P of shape (B, n, n), ...), and
-one F or H, or one per row. run_rows is the one sweep loop: each round
-sweeps every row it holds, whatever its step; rows that stop leave and
-rows starting a step join. The harness runs whole trajectories through
-it; etvbf_step is its one-step case and runs a single state unstacked.
+Every function but etvbf_step takes one filter state, or a stack of B of
+them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
+...), and one F or H, or one per row. etvbf_step is one state's whole step:
+predict, then sweeps until the state stops. The harness steps its stacks
+with predict and sweep in its own row loop, where rows leave and join.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "update_mixture",
     "check_convergence",
     "sweep",
-    "run_rows",
     "etvbf_step",
 ]
 
@@ -83,14 +81,15 @@ class FilterConfig:
         object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
         object.__setattr__(self, "alpha0", np.asarray(self.alpha0, dtype=float))
         m_size, n = self.nominal_q.shape[:2]
-        if self.dof_g.shape != (m_size,) or not np.all(self.dof_g > n - 1):
-            raise ValueError("dof_g must hold one dof above n - 1 per nominal covariance")
+        dof_g, alpha0 = self.dof_g, self.alpha0
+        if dof_g.shape != (m_size,) or not np.all((n - 1 < dof_g) & (dof_g < math.inf)):
+            raise ValueError("dof_g must hold one finite dof above n - 1 per nominal covariance")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
-        if not self.s0 > 0.0:
-            raise ValueError("s0 must be positive")
-        if self.alpha0.shape != (m_size,) or not np.all(self.alpha0 > 0):
-            raise ValueError("alpha0 must hold one positive value per nominal covariance")
+        if not 0.0 < self.s0 < math.inf:
+            raise ValueError("s0 must be positive and finite")
+        if alpha0.shape != (m_size,) or not np.all((0.0 < alpha0) & (alpha0 < math.inf)):
+            raise ValueError("alpha0 must hold one positive finite value per nominal covariance")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
         if not self.tol > 0.0:
@@ -119,7 +118,8 @@ class IterationState:
 
     predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
     alpha_prior); the updates rebind the iterates and never write into any
-    array, so only run_rows writes, into the arrays of its latest sweep.
+    array, so only the harness's row loop writes, into the arrays of its
+    latest sweep.
     """
 
     x_pred: np.ndarray
@@ -145,7 +145,7 @@ class IterationState:
 class StepDiagnostics:
     """Read-only per-step extras for the experiment harness."""
 
-    iterations: np.integer | np.ndarray  # sweeps: a numpy integer, or one per row of a stack
+    iterations: np.integer  # sweeps run
     p_tilde: np.ndarray
     r_tilde: np.ndarray
     chi: np.ndarray
@@ -179,12 +179,6 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
 def take_rows(stack, rows):
     """The same dataclass holding the given rows of every array field of a stack."""
     return type(stack)(**{k: v[rows] for k, v in vars(stack).items()})
-
-
-def join_rows(stacks):
-    """The same dataclass holding the rows of each stack in turn."""
-    fields = vars(stacks[0])
-    return type(stacks[0])(**{k: np.concatenate([vars(s)[k] for s in stacks]) for k in fields})
 
 
 def _per_matrix(v) -> np.ndarray:
@@ -375,38 +369,6 @@ def sweep(it: IterationState, sent, z, H: np.ndarray, cfg: FilterConfig):
     return check_convergence(it.x, x_prev, cfg.tol) | (it.sweeps == cfg.max_iterations)
 
 
-def run_rows(work, inputs, advance, retire) -> None:
-    """The sweep loop: rounds of advance on every row, until retire starts no more rows.
-
-    inputs are per-row arrays, the last the rows' ids. advance(work, inputs)
-    runs a round, rebinding the arrays of work it changes, and returns which
-    rows finished: a mask, or True for all. retire, the one place rows leave
-    and join, takes them (their arrays are the results) and returns the work
-    and inputs of at most as many rows starting a step, or None; these take
-    the places that left, in arrays the loop owns, and the rest close up.
-    Rows that all finish together reach retire as they are, unstacked.
-    """
-    while True:
-        done = advance(work, inputs)
-        if done is True or np.count_nonzero(done) == done.size:
-            joining = retire(work, inputs)
-            if joining is None:
-                return
-            work, inputs = joining
-            continue
-        left = np.flatnonzero(done)
-        if left.size:
-            joining = retire(take_rows(work, left), tuple(a[left] for a in inputs))
-            places = left[: 0 if joining is None else joining[1][-1].size]
-            if places.size:
-                to, new = (*vars(work).values(), *inputs), (*vars(joining[0]).values(), *joining[1])
-                for array, rows in zip(to, new):
-                    array[places] = rows
-            if places.size < left.size:
-                keep = np.delete(np.arange(done.size), left[places.size :])
-                work, inputs = take_rows(work, keep), tuple(a[keep] for a in inputs)
-
-
 def etvbf_step(
     state: FilterState,
     F: np.ndarray,
@@ -414,22 +376,19 @@ def etvbf_step(
     outcome: TriggerOutcome,
     cfg: FilterConfig,
 ) -> tuple[FilterState, StepDiagnostics]:
-    """One full filter step: prediction, fixed-point sweeps, posterior extraction.
+    """One full filter step of a single state: prediction, then sweeps until it stops.
 
-    A single state and a stack, which takes an outcome with one gamma per
-    row, run one step of the run_rows sweep loop. Each row sweeps until it
-    stops and then leaves, so its result is exactly what stepping it alone
-    would give. A gamma not shaped like the state's rows raises ValueError.
+    A gamma not shaped like the state's rows raises ValueError, and so
+    does a stacked state: run_trials, or predict and sweep, step stacks.
     """
     sent = sent_rows(outcome, state)
-    rows = np.arange(sent.size).reshape(sent.shape)
-    inputs = (sent, outcome.measurement, np.broadcast_to(H, sent.shape + H.shape[-2:]), rows)
-    stopped = []  # the rows that stop in each round, and their ids
-    run_rows(predict(state, F, cfg), inputs, lambda it, i: sweep(it, *i[:3], cfg),
-             lambda it, i: stopped.append((it, i[-1])))
-    final = stopped[0][0]
-    if len(stopped) > 1:  # rows that stopped apart, put back in their input order
-        order = np.argsort(np.concatenate([i for _, i in stopped]))
-        final = take_rows(join_rows([it for it, _ in stopped]), order)
-    new_state = FilterState(final.x, final.P, final.s, final.S, final.alpha)
-    return new_state, StepDiagnostics(final.sweeps, final.p_tilde, final.r_tilde, final.chi)
+    if sent.ndim:
+        raise ValueError(
+            f"etvbf_step steps a single state, not a stack of {sent.size}; "
+            "step stacks with run_trials, or with predict and sweep"
+        )
+    it = predict(state, F, cfg)
+    while not sweep(it, sent, outcome.measurement, H, cfg):
+        pass
+    new_state = FilterState(it.x, it.P, it.s, it.S, it.alpha)
+    return new_state, StepDiagnostics(it.sweeps, it.p_tilde, it.r_tilde, it.chi)

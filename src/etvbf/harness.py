@@ -4,13 +4,14 @@ Trials are deterministic given (config, filter id, trial index). Truth
 and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while a
 triggered filter draws each trial's trigger uniforms as one table from a
-filter-local stream. All four filters run through one engine, the filter
-module's run_rows loop; a filter id only selects how a row's step begins
-and advances (predict, then one sweep a round, or clset_kf_step with
-nominal or true covariances) and whether the sensor trigger or an
-always-transmit outcome decides each step. Each trial advances in time on
-its own, so its record is the same whichever trials it runs with, and a
-trial caught in a failed round can be run again alone from its start.
+filter-local stream. All four filters run through one engine, this
+module's _run_rows loop, the one place where rows leave and join a round;
+a filter id only selects how a row's step begins and advances (predict,
+then one sweep a round, or clset_kf_step with nominal or true
+covariances) and whether the sensor trigger or an always-transmit outcome
+decides each step. Each trial advances in time on its own, so its record
+is the same whichever trials it runs with, and a trial caught in a failed
+round can be run again alone from its start.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .baselines import KfState, clset_kf_step
 from .distributions import SeededRng, sample_gaussian
-from .filter import FilterConfig, FilterState, initial_state, predict, run_rows, sweep, take_rows
+from .filter import FilterConfig, FilterState, initial_state, predict, sweep, take_rows
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular, is_integer
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
@@ -80,6 +81,9 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("filters", "sweep_grid", "nominal_q_scales"):
+            if isinstance(value := getattr(self, name), str):  # it would split into characters
+                raise ValueError(f"{name} must be a list, not the string {value!r}")
         object.__setattr__(self, "filters", tuple(self.filters))
         object.__setattr__(self, "sweep_grid", tuple(float(v) for v in self.sweep_grid))
         object.__setattr__(
@@ -103,8 +107,8 @@ class ExperimentConfig:
             raise ValueError("a sweep_grid needs a sweep_param")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
-        if not self.clset_q_scale > 0.0:
-            raise ValueError("clset_q_scale must be positive")
+        if not 0.0 < self.clset_q_scale < math.inf:
+            raise ValueError("clset_q_scale must be positive and finite")
         build_filter_config(self)  # raises ValueError on an out-of-domain scenario or tuning
         for value in self.sweep_grid:
             _sweep_point(self, value)  # each grid value meets its field's own rule
@@ -217,7 +221,7 @@ def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialR
 def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[TrialRecord]:
     """Simulate the closed sensor-estimator loops of several trials as one ragged stack.
 
-    The trials' rows run through run_rows together, each at its own step
+    The trials' rows run through _run_rows together, each at its own step
     k: a row that finishes step k is recorded there and starts k+1 in the
     next round. A triggered filter draws each trial's n_step trigger
     uniforms at once from the trial's own stream. F_k, H_k (and the
@@ -290,7 +294,7 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
 
     rows = np.arange(count)
     try:
-        run_rows(*enter(rows, 0 * rows, start), advance, retire)
+        _run_rows(*enter(rows, 0 * rows, start), advance, retire)
     except (NotPositiveDefinite, Singular) as exc:
         if count == 1:  # at its first unrecorded step
             rec, k = records[0], int(np.isnan(estimate[0, :, 0]).argmax()) + 1
@@ -301,6 +305,38 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         if not any(r.failed for r in records):
             raise  # only trials that fail alone can have failed the round
     return records
+
+
+def _run_rows(work, inputs, advance, retire) -> None:
+    """The sweep loop: rounds of advance on every row, until retire starts no more rows.
+
+    inputs are per-row arrays, the last the rows' ids. advance(work, inputs)
+    runs a round, rebinding the arrays of work it changes, and returns which
+    rows finished: a mask, or True for all. retire, the one place rows leave
+    and join, takes them (their arrays are the results) and returns the work
+    and inputs of at most as many rows starting a step, or None; these take
+    the places that left, in arrays the loop owns, and the rest close up.
+    Rows that all finish together reach retire as they are, unstacked.
+    """
+    while True:
+        done = advance(work, inputs)
+        if done is True or np.count_nonzero(done) == done.size:
+            joining = retire(work, inputs)
+            if joining is None:
+                return
+            work, inputs = joining
+            continue
+        left = np.flatnonzero(done)
+        if left.size:
+            joining = retire(take_rows(work, left), tuple(a[left] for a in inputs))
+            places = left[: 0 if joining is None else joining[1][-1].size]
+            if places.size:
+                to, new = (*vars(work).values(), *inputs), (*vars(joining[0]).values(), *joining[1])
+                for array, rows in zip(to, new):
+                    array[places] = rows
+            if places.size < left.size:
+                keep = np.delete(np.arange(done.size), left[places.size :])
+                work, inputs = take_rows(work, keep), tuple(a[keep] for a in inputs)
 
 
 def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:

@@ -54,8 +54,8 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
     continuous-white-noise-acceleration block, and the true measurement
     noise is (100 + 50 cos(pi k / T_f)) times a 0.5-correlated 2x2 matrix.
     """
-    if not sample_time > 0.0:
-        raise ValueError("sample_time must be positive")
+    if not 0.0 < sample_time < math.inf:
+        raise ValueError("sample_time must be positive and finite")
     if not cosine_period > 0:
         raise ValueError("cosine_period must be positive")
     t = float(sample_time)

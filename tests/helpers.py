@@ -1,4 +1,4 @@
-"""Shared test utilities: random SPD matrices and dense reference formulas."""
+"""Shared test utilities: random SPD matrices, dense reference formulas, field bytes."""
 
 import math
 
@@ -11,6 +11,11 @@ def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.nda
     """Well-conditioned random SPD matrix: A A^T + dim * I, scaled."""
     a = rng.standard_normal((dim, dim))
     return scale * (a @ a.T + dim * np.eye(dim))
+
+
+def field_bytes(*objs) -> list[dict]:
+    """The bytes of every field of each dataclass, to check later that nothing wrote into them."""
+    return [{k: np.asarray(v).tobytes() for k, v in vars(obj).items()} for obj in objs]
 
 
 def dense_theta(

@@ -22,10 +22,12 @@ from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.filter import (
     FilterConfig,
+    FilterState,
     etvbf_step,
     initial_state,
     predict,
     silent_update,
+    sweep,
     update_joint_no_meas,
 )
 from etvbf.harness import ExperimentConfig, emit_outputs, run_sweep
@@ -338,7 +340,8 @@ def test_07_no_factorization_failures_in_sweeps():
 
 def _pinned_gain_final_errors(trials):
     """Final-step estimation errors of the fixed-gain Gaussianity check, one
-    row per trial, with all trials stepped as one stack."""
+    row per trial, with all trials stepped as one stack: predict and one
+    sweep, the whole step under max_iterations=1."""
     model = build_cv_scenario(1.0, 500)
     x0, p0, steps = scenario_defaults()
     cfg = FilterConfig(
@@ -363,12 +366,10 @@ def _pinned_gain_final_errors(trials):
     measurements = np.array(measurements)
     state = initial_state(np.array(x0_hat), p0, cfg)
     for k in range(1, steps + 1):
-        sent = schedule[k - 1]
-        outcome = TriggerOutcome(
-            gamma=np.full(len(trials), int(sent)),
-            measurement=measurements[:, k - 1] if sent else np.full((len(trials), 2), np.nan),
-        )
-        state, _ = etvbf_step(state, model.F(k), model.H(k), outcome, cfg)
+        sent = np.full(len(trials), schedule[k - 1])
+        it = predict(state, model.F(k), cfg)
+        assert sweep(it, sent, measurements[:, k - 1], model.H(k), cfg).all()
+        state = FilterState(it.x, it.P, it.s, it.S, it.alpha)
     return state.x_hat - np.array(finals)
 
 

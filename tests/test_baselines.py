@@ -6,7 +6,7 @@ from etvbf.distributions import SeededRng
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
 from etvbf.trigger import TriggerOutcome
-from helpers import dense_kalman_update, dense_theta, random_spd
+from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
 
 
 def transmitted_step(state, f, h, q, r, z):
@@ -88,6 +88,20 @@ class TestClsetKf:
             alone = clset_kf_step(KfState(x_hat[i], P[i]), f, h, q_bar, r_bar, y, row)
             assert np.array_equal(stacked.x_hat[i], alone.x_hat)
             assert np.array_equal(stacked.P[i], alone.P)
+
+    def test_stack_step_leaves_its_input_arrays_unchanged(self):
+        """A mixed stack's step leaves the state and outcome as given: the updates rebind
+        and never write."""
+        rng = np.random.default_rng(7)
+        model = build_cv_scenario(1.0, 500)
+        gamma = np.array([1, 0, 1, 1])
+        state = KfState(rng.standard_normal((4, 4)), np.stack([random_spd(rng, 4) for _ in gamma]))
+        z = np.where(gamma[:, None] == 1, rng.standard_normal((4, 2)), np.nan)
+        outcome = TriggerOutcome(gamma=gamma, measurement=z)
+        before = field_bytes(state, outcome)
+        clset_kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), 150.0 * np.eye(2),
+                      0.015 * np.eye(2), outcome)
+        assert field_bytes(state, outcome) == before
 
     @pytest.mark.parametrize(
         "rows, outcome",

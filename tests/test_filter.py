@@ -4,9 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng
@@ -29,7 +26,7 @@ from etvbf.filter import (
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import log_multivariate_gamma, spd_factor
 from etvbf.trigger import TriggerConfig, TriggerOutcome
-from helpers import dense_theta, random_spd
+from helpers import dense_theta, field_bytes, random_spd
 
 
 def make_config(
@@ -628,6 +625,37 @@ class TestStepOrchestration:
         with pytest.raises(ValueError, match="gamma"):
             etvbf_step(state, model.F(1), model.H(1), outcome, cfg)
 
+    @pytest.mark.parametrize("gamma", [1, 0], ids=["sent", "silent"])
+    def test_step_leaves_its_input_arrays_unchanged(self, gamma):
+        """A step leaves the state and outcome as given: the updates rebind and never write.
+
+        A sent step sweeps more than once and a silent one stops after one
+        sweep, as x stays at the prediction; the count is a numpy integer.
+        """
+        cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
+                          rho=0.997, y_scale=0.015)
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        f, h = model.F(1), model.H(1)
+        state = initial_state(x0, p0, cfg)
+        outcome = TriggerOutcome(gamma=gamma, measurement=h @ f @ x0 + 30.0 if gamma else None)
+        before = field_bytes(state, outcome)
+        _, diag = etvbf_step(state, f, h, outcome, cfg)
+        assert isinstance(diag.iterations, np.integer)
+        assert (diag.iterations > 1) == bool(gamma)
+        assert field_bytes(state, outcome) == before
+
+    def test_stacked_state_rejected(self):
+        """etvbf_step steps one state; a stack, even with an outcome row per state row, is
+        pointed to run_trials, or predict and sweep."""
+        cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0))
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        state = initial_state(np.broadcast_to(x0, (2, 4)), p0, cfg)
+        outcome = TriggerOutcome(gamma=np.array([1, 1]), measurement=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="single state.*run_trials.*predict and sweep"):
+            etvbf_step(state, model.F(1), model.H(1), outcome, cfg)
+
     def test_iteration_budget_and_chi_normalization(self):
         cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), tol=1e-8)
         model = build_cv_scenario(1.0, 500)
@@ -671,94 +699,3 @@ class TestStepOrchestration:
             state, _ = etvbf_step(state, model.F(k), model.H(k), outcome, cfg)
             assert np.all(np.linalg.eigvalsh(state.S - prev_s) > -1e-9)
             prev_s = state.S
-
-
-@st.composite
-def stacked_steps(draw):
-    """A stack of 1-6 rows: offsets of the initial estimates and the measurements
-    from the scenario's start, an unsorted 0/1 gamma per row, and a sweep budget."""
-    rows = draw(st.integers(1, 6))
-    return (
-        draw(arrays(float, (rows, 4), elements=st.floats(-50.0, 50.0))),
-        draw(arrays(float, (rows, 2), elements=st.floats(-30.0, 30.0))),
-        np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))),
-        draw(st.integers(1, 6)),
-        draw(st.sampled_from([1e-6, 1e-3, 1e-1])),
-    )
-
-
-# A mixed stack whose rows stop at sweeps 4, 1, 2 and 1 of a 4-sweep budget.
-STAGGERED = (
-    np.zeros((4, 4)),
-    np.array([[30.0, 30.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
-    np.array([1, 0, 1, 1]),
-    4,
-    1e-3,
-)
-
-
-def stacked_inputs(case):
-    """A stacked_steps case's config, F, H, p0, x0_hat and z, its initial stack and outcome."""
-    x_offsets, z_offsets, gamma, max_iterations, tol = case
-    cfg = dataclasses.replace(
-        make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
-                    rho=0.997, y_scale=0.015, tol=tol),
-        max_iterations=max_iterations,
-    )
-    model = build_cv_scenario(1.0, 500)
-    x0, p0, _ = scenario_defaults()
-    f, h = model.F(1), model.H(1)
-    x0_hat = x0 + x_offsets
-    z = h @ f @ x0 + z_offsets
-    outcome = TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
-    return (cfg, f, h, p0, x0_hat, z), initial_state(x0_hat, p0, cfg), outcome
-
-
-def stacked_step(case):
-    """Everything a stacked_steps case steps with, and its stacked etvbf_step result."""
-    inputs, state, outcome = stacked_inputs(case)
-    cfg, f, h = inputs[:3]
-    return etvbf_step(state, f, h, outcome, cfg), inputs
-
-
-class TestStackMatchesSingleState:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(stacked_steps())
-    @example(STAGGERED[:3] + (1, 1e-3))  # every row stops at its first sweep
-    @example(STAGGERED)  # rows leave at three different sweeps, the last at the budget
-    def test_every_row_bitwise_equals_its_single_state_step(self, case):
-        """Row i of a stacked step, sweep count included, is bitwise the step of state i alone."""
-        stacked, (cfg, f, h, p0, x0_hat, z) = stacked_step(case)
-        for i, g in enumerate(case[2].tolist()):
-            outcome = TriggerOutcome(gamma=1, measurement=z[i]) if g else TriggerOutcome(gamma=0)
-            single = etvbf_step(initial_state(x0_hat[i], p0, cfg), f, h, outcome, cfg)
-            assert isinstance(single[1].iterations, np.integer)
-            for stack_part, single_part in zip(stacked, single):
-                for field in dataclasses.fields(single_part):
-                    row = np.asarray(getattr(stack_part, field.name))[i]
-                    alone = np.asarray(getattr(single_part, field.name))
-                    assert (row.shape, row.dtype) == (alone.shape, alone.dtype), field.name
-                    assert row.tobytes() == alone.tobytes(), (i, field.name)
-
-    def test_examples_stop_together_and_apart(self):
-        """The two pinned examples cover both ways a stack's rows leave the sweep loop."""
-        (_, together), _ = stacked_step(STAGGERED[:3] + (1, 1e-3))
-        (_, apart), _ = stacked_step(STAGGERED)
-        assert together.iterations.tolist() == [1, 1, 1, 1]
-        assert apart.iterations.tolist() == [4, 1, 2, 1]
-
-    def test_steps_leave_their_input_arrays_unchanged(self):
-        """Rows that stop at sweeps 4, 1, 2 and 1 leave the stepped state and outcome as given.
-
-        The updates rebind and never write, and the results alias no input.
-        """
-        (cfg, f, h, *_), state, outcome = stacked_inputs(STAGGERED)
-        kf_state = KfState(x_hat=state.x_hat, P=state.P)
-        given = [state, outcome]
-        saved = [{k: np.array(v) for k, v in vars(obj).items()} for obj in given]
-        _, diag = etvbf_step(state, f, h, outcome, cfg)
-        assert diag.iterations.tolist() == [4, 1, 2, 1]
-        clset_kf_step(kf_state, f, h, 4.0 * np.eye(4), cfg.r0, cfg.trigger.Y, outcome)
-        for obj, before in zip(given, saved):
-            for name, value in vars(obj).items():
-                assert np.asarray(value).tobytes() == before[name].tobytes(), name

@@ -75,15 +75,31 @@ def assert_same_record(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
 
 
+# Each filter at the default sweep settings, and the variational filters under
+# a budget of 1 and 4 sweeps at a loose tolerance.
+BATCH_CASES = [pytest.param(f, {}, id=f) for f in FILTER_IDS] + [
+    pytest.param(f, {"max_iterations": budget, "tol": 1e-3}, id=f"{f}-budget-{budget}")
+    for f in ("etvbf", "vbf")
+    for budget in (1, 4)
+]
+
+
 class TestLockstep:
-    @pytest.mark.parametrize("filter_id", FILTER_IDS)
-    def test_record_independent_of_batch(self, filter_id):
-        """A trial's record is bitwise the same alone, with 2 other trials and with 19."""
-        cfg = ExperimentConfig(n_step=40, y_scale=0.005, base_seed=31)
+    @pytest.mark.parametrize("filter_id, sweeps", BATCH_CASES)
+    def test_record_independent_of_batch(self, filter_id, sweeps):
+        """A trial's record is bitwise the same alone, with 2 other trials and with 19.
+
+        Under the 4-sweep budget, rows of one step stop both at the budget
+        and below it, so rows leave a round apart.
+        """
+        cfg = ExperimentConfig(n_step=40, y_scale=0.005, base_seed=31, **sweeps)
         twenty = run_trials(cfg, filter_id, range(20))
         gammas = np.array([r.gamma for r in twenty])
         mixed_steps = np.any(gammas != gammas[0], axis=0)
         assert mixed_steps.any() == (filter_id in ("etvbf", "clset-kf"))
+        if cfg.max_iterations == 4:
+            at_budget = np.array([r.iterations for r in twenty]) == 4
+            assert np.any(at_budget.any(axis=0) & ~at_budget.all(axis=0))
         for t in (0, 7, 19):
             assert_same_record(twenty[t], run_trial(cfg, filter_id, t))
             trio = run_trials(cfg, filter_id, [(t + 5) % 20, t, (t + 11) % 20])
@@ -458,6 +474,14 @@ class TestConfig:
             {"cosine_period": 2.5},
             {"base_seed": 1.5},
             {"filters": ()},
+            {"sample_time": math.inf},
+            {"dof_g": math.inf},
+            {"s0": math.inf},
+            {"alpha0": math.inf},
+            {"clset_q_scale": math.inf},
+            {"nominal_q_scales": "1239"},
+            {"filters": "etvbf"},
+            {"sweep_param": "r", "sweep_grid": "12"},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
@@ -465,13 +489,24 @@ class TestConfig:
             "seed-negative", "filter-repeated", "grid-value-repeated", "tol-nan", "dof-g-nan",
             "alpha0-nan", "sample-time-nan", "cosine-period-nan", "n-mc-fraction",
             "n-step-fraction", "max-iterations-fraction", "cosine-period-fraction",
-            "seed-fraction", "filters-empty",
+            "seed-fraction", "filters-empty", "sample-time-inf", "dof-g-inf", "s0-inf",
+            "alpha0-inf", "clset-q-inf", "q-scales-string", "filters-string", "grid-string",
         ],
     )
     def test_rejected_when_built(self, bad):
         """Every grid point is checked by its field's own rule, and no setting waits for a trial."""
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"nominal_q_scales": "1239"}, {"filters": "etvbf"}, {"sweep_grid": "0.5"}],
+        ids=["nominal_q_scales", "filters", "sweep_grid"],
+    )
+    def test_string_for_a_list_rejected_by_name(self, bad):
+        """A JSON string where a list belongs is not split into its characters."""
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be a list"):
+            ExperimentConfig.from_dict({"sweep_param": "y", **bad})
 
     @pytest.mark.parametrize(
         "name, value",
