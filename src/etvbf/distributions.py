@@ -1,23 +1,20 @@
-"""Moment formulas of the conjugate priors, on plain arrays, and seeded sampling.
+"""Normalised mixture weights and seeded sampling.
 
-The variational updates need E{P^{-1}} of an inverse-Wishart posterior,
-given its dof and one Cholesky factor of its scale, and normalised
-mixture weights from log weights; both work along any leading trial axes.
-E{log|P|} and E{log mu_j} are formed in the mixture update, which makes
-one digamma call for both. Sampling is limited to what the simulation
-needs: Gaussian noise and the trigger's uniform draws, one at a time
-(SeededRng.uniform) or a trial's whole table at once (SeededRng.uniforms).
+The mixture update, which forms its own inverse-Wishart and Dirichlet
+moments, normalises its log weights here, along any leading trial axes.
+Sampling is limited to what the simulation needs: Gaussian noise and the
+trigger's uniform draws, one at a time (SeededRng.uniform) or a trial's
+whole table at once (SeededRng.uniforms).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import SpdFactor, spd_factor
+from .numerics import spd_factor
 
 __all__ = [
     "SeededRng",
-    "iw_mean_of_inverse",
     "normalize_log_weights",
     "sample_gaussian",
 ]
@@ -44,11 +41,6 @@ class SeededRng:
 
     def standard_normal(self, size: int) -> np.ndarray:
         return self._gen.standard_normal(size)
-
-
-def iw_mean_of_inverse(dof, scale: SpdFactor) -> np.ndarray:
-    """E{P^{-1}} = g G^{-1} for P ~ IW(g, G), given the factor of G; one dof per matrix."""
-    return np.asarray(dof)[..., None, None] * scale.inverse()
 
 
 def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:

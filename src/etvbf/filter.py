@@ -3,16 +3,16 @@
 A filter step is predict, which builds its sweep-zero IterationState (the
 priors, and iterates that start from them), then sweeps. Each sweep
 refines the state, the predicted error covariance (as an inverse-Wishart
-posterior over a bank of nominal process noise covariances), the
-measurement noise covariance, and the mixture weights. The trigger outcome
-decides one thing per sweep: the branch update gives the state x, its
-covariance P and the measurement scatter B = E{(z - Hx)(z - Hx)^T}, and
-every later update is branch-free. The no-measurement branch still
-extracts information from the fact that the innovation was small enough to
-stay below the stochastic trigger. by_branch is the one place that splits
-rows by trigger outcome, here and in the known-covariance Kalman
-baselines, which reuse kalman_update and silent_update, plain functions of
-a predicted covariance.
+posterior over a bank of nominal process noise covariances, whose scales
+are affine in F P F^T), the measurement noise covariance, and the mixture
+weights. The trigger outcome decides one thing per sweep: the branch
+update gives the state x, its covariance P and the measurement scatter
+B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
+no-measurement branch still extracts information from the fact that the
+innovation was small enough to stay below the stochastic trigger.
+by_branch is the one place that splits rows by trigger outcome, here and
+in the known-covariance Kalman baselines, which reuse kalman_update and
+silent_update, plain functions of a predicted covariance.
 
 Every function but etvbf_step takes one filter state, or a stack of B of
 them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import iw_mean_of_inverse, normalize_log_weights
+from .distributions import normalize_log_weights
 from .numerics import (
     Singular,
     digamma,
@@ -74,6 +74,7 @@ class FilterConfig:
     max_iterations: int = 50
     tol: float = 1e-6  # relative state-change threshold ending the sweep loop
     log_norm_const: np.ndarray = field(init=False, repr=False)  # n g log2 / 2, log Gamma_n(g / 2)
+    scaled_q: np.ndarray = field(init=False, repr=False)  # (M, n, n) dof-scaled bank g_j Qbar_j
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
@@ -96,9 +97,19 @@ class FilterConfig:
             raise ValueError("tol must be positive")
         if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
-        const = [0.5 * n * self.dof_g * math.log(2.0)]
-        const.append([log_multivariate_gamma(n, 0.5 * g) for g in self.dof_g])
+        with np.errstate(over="ignore"):  # a finite dof_g or alpha0 can still be too large
+            scaled_q, alpha_sum = dof_g[:, None, None] * self.nominal_q, alpha0.sum()
+            const = [0.5 * n * dof_g * math.log(2.0)]
+        try:
+            const.append([log_multivariate_gamma(n, 0.5 * g) for g in dof_g])
+        except OverflowError:
+            const.append([math.inf] * m_size)
+        if not (np.isfinite(const).all() and np.isfinite(scaled_q).all()):
+            raise ValueError("dof_g is too large: its log normalisers or scaled bank overflow")
+        if not math.isfinite(alpha_sum):
+            raise ValueError("alpha0 is too large: its Dirichlet sum overflows")
         object.__setattr__(self, "log_norm_const", np.array(const))
+        object.__setattr__(self, "scaled_q", scaled_q)
 
 
 @dataclass(frozen=True)
@@ -119,25 +130,22 @@ class IterationState:
     predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
     alpha_prior); the updates rebind the iterates and never write into any
     array, so only the harness's row loop writes, into the arrays of its
-    latest sweep.
+    latest sweep. A sweep derives the dofs s_prior + 1 and g = chi . dof_g + 1.
     """
 
     x_pred: np.ndarray
-    G_j: np.ndarray  # (..., M, n, n) IW scales g_j (F P F^T + Qbar_j)
+    fpf: np.ndarray  # F P F^T: component j's IW scale is G_j = g_j (fpf + Qbar_j)
     log_norm_j: np.ndarray  # g_j log|G_j|/2 - n g_j log2/2 - log Gamma_n(g_j/2)
     s_prior: np.ndarray
     S_prior: np.ndarray
     alpha_prior: np.ndarray
     x: np.ndarray
     P: np.ndarray
-    g: np.ndarray
-    G: np.ndarray
-    s: np.ndarray
     S: np.ndarray
     chi: np.ndarray  # mixture weights over the nominal bank, summing to one
     alpha: np.ndarray
     p_tilde: np.ndarray  # G / g, the working predicted covariance
-    r_tilde: np.ndarray  # S / s, the working measurement covariance
+    r_tilde: np.ndarray  # S / s, the working measurement covariance; s = s_prior + 1 once swept
     sweeps: np.ndarray  # sweeps run: 0 from predict, one count per row of a stack
 
 
@@ -203,9 +211,9 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     big_g0 = (chi0[..., None, None] * g_j).sum(axis=-3)
     p0 = big_g0 / _per_matrix(g0)
     return IterationState(
-        x_pred=x_pred, G_j=g_j, log_norm_j=log_norm_j,
+        x_pred=x_pred, fpf=fpf, log_norm_j=log_norm_j,
         s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
-        x=x_pred, P=p0, g=g0, G=big_g0, s=s_prior, S=S_prior, chi=chi0, alpha=alpha_prior,
+        x=x_pred, P=p0, S=S_prior, chi=chi0, alpha=alpha_prior,
         p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior), sweeps=np.zeros_like(g0, dtype=int),
     )
 
@@ -295,42 +303,47 @@ def update_state_meas(
 
 
 def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
-    """Refresh the inverse-Wishart posterior over the predicted covariance."""
+    """Refresh the predicted covariance's IW(chi . dof_g + 1, sum_j chi_j G_j + A) as p_tilde."""
     shift = it.x - it.x_pred
     a_mat = it.P + shift[..., :, None] * shift[..., None, :]
-    it.g = np.vecdot(it.chi, cfg.dof_g) + 1.0
-    it.G = symmetrize((it.chi[..., None, None] * it.G_j).sum(axis=-3) + a_mat)
-    it.p_tilde = it.G / _per_matrix(it.g)
+    dof = np.vecdot(it.chi, cfg.dof_g)
+    # sum_j chi_j G_j = (chi . dof_g) fpf + sum_j chi_j g_j Qbar_j, one row at a time:
+    # a 2-D @ over the rows would make a row's bits depend on its stack.
+    mixed_q = np.vecmat(it.chi, cfg.scaled_q.reshape(cfg.dof_g.size, -1)).reshape(a_mat.shape)
+    it.p_tilde = symmetrize(_per_matrix(dof) * it.fpf + mixed_q + a_mat) / _per_matrix(dof + 1.0)
 
 
 def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
-    """Refresh the inverse-Wishart posterior over the measurement covariance from scatter B."""
-    it.s = it.s_prior + 1.0
+    """Refresh the inverse-Wishart posterior IW(s_prior + 1, S) over the measurement covariance."""
     it.S = symmetrize(it.S_prior + B)
-    it.r_tilde = it.S / _per_matrix(it.s)
+    it.r_tilde = it.S / _per_matrix(it.s_prior + 1.0)
 
 
 def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     """Reweight the nominal covariance bank and refresh the Dirichlet posterior.
 
-    Both inverse-Wishart moments of the posterior IW(g, G) come from one
-    Cholesky factor of G, and one digamma call serves
-    E{log|P|} = log|G| - n log 2 - sum_i psi((g + 1 - i)/2) and
+    The moments of IW(g, g p_tilde), g = chi . dof_g + 1 from the chi that
+    formed it, come from one Cholesky factor: E{P^{-1}} = p_tilde^{-1}, and
+    one digamma call serves
+    E{log|P|} = log|p_tilde| + n log(g/2) - sum_i psi((g + 1 - i)/2) and
     E{log mu_j} = psi(alpha_j) - psi(sum alpha).
     """
-    g_factor = spd_factor(it.G)
-    n, m_size = it.G.shape[-1], it.alpha.shape[-1]
-    e_p_inv = iw_mean_of_inverse(it.g, g_factor)
-    half_dofs = 0.5 * np.asarray(it.g)[..., None] + np.arange(0.0, -0.5 * n, -0.5)
+    p_factor = spd_factor(it.p_tilde)
+    n, m_size = it.p_tilde.shape[-1], it.alpha.shape[-1]
+    g = np.vecdot(it.chi, cfg.dof_g) + 1.0
+    e_p_inv = p_factor.inverse().reshape(it.chi.shape[:-1] + (n * n,))
+    half_dofs = 0.5 * np.asarray(g)[..., None] + np.arange(0.0, -0.5 * n, -0.5)
     psi = digamma(
         np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True), half_dofs], axis=-1)
     )
-    e_logdet_p = g_factor.log_det() - n * math.log(2.0) - psi[..., m_size + 1 :].sum(axis=-1)
-    # The -(n + 1) E{log|P|} / 2 of each IW log density is common to all
+    e_logdet_p = p_factor.log_det() + n * np.log(0.5 * g) - psi[..., m_size + 1 :].sum(axis=-1)
+    # tr(G_j E{P^{-1}}) = g_j <fpf, E{P^{-1}}> + <g_j Qbar_j, E{P^{-1}}>. The
+    # -(n + 1) E{log|P|} / 2 of each IW log density is common to all
     # components and cancels in the normalisation, so it is left out.
     log_w = (
         it.log_norm_j
-        - 0.5 * np.sum(it.G_j * e_p_inv[..., None, :, :], axis=(-2, -1))
+        - 0.5 * cfg.dof_g * np.vecdot(it.fpf.reshape(e_p_inv.shape), e_p_inv)[..., None]
+        - 0.5 * np.matvec(cfg.scaled_q.reshape(m_size, n * n), e_p_inv)
         - 0.5 * cfg.dof_g * e_logdet_p[..., None]
         + (psi[..., :m_size] - psi[..., m_size, None])
     )
@@ -390,5 +403,5 @@ def etvbf_step(
     it = predict(state, F, cfg)
     while not sweep(it, sent, outcome.measurement, H, cfg):
         pass
-    new_state = FilterState(it.x, it.P, it.s, it.S, it.alpha)
+    new_state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
     return new_state, StepDiagnostics(it.sweeps, it.p_tilde, it.r_tilde, it.chi)

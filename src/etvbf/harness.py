@@ -197,7 +197,7 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
             initial_state(x0_hat, p0, fcfg),
             lambda state, kr, f, h, outcome: predict(state, f, fcfg),
             lambda it, inputs: sweep(it, *inputs[:3], fcfg),
-            lambda it: (FilterState(it.x, it.P, it.s, it.S, it.alpha), it.sweeps),
+            lambda it: (FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha), it.sweeps),
             filter_id == FILTER_ETVBF,
         )
     kf_state = KfState(x_hat=x0_hat, P=np.broadcast_to(p0, x0_hat.shape[:1] + p0.shape).copy())

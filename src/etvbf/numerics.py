@@ -82,26 +82,25 @@ _DIGAMMA_SERIES = np.array(
     [-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0, -1.0 / 132.0, 691.0 / 32760.0, -1.0 / 12.0]
 )
 _DIGAMMA_POWERS = np.arange(1.0, 8.0)
-_DIGAMMA_SHIFT = 8.0
-_DIGAMMA_STEPS = np.arange(_DIGAMMA_SHIFT)
+_DIGAMMA_STEPS = np.arange(8.0)
 
 
 def digamma(x):
     """Digamma function psi(x), elementwise for x > 0.
 
-    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift every argument
-    to at least 8, then the asymptotic series; absolute error is below
-    1e-12 over [1e-3, 1e6]. Returns a float for a scalar argument.
+    Uses the recurrence psi(x+1) = psi(x) + 1/x to shift every argument by
+    8, then the asymptotic series in 1/x, which no finite x overflows;
+    absolute error is below 1e-12 over [1e-3, 1e6] and for large x. Returns
+    a float for a scalar argument.
     """
     x = np.asarray(x, dtype=float)
     if not x.min() > 0.0:
         raise ValueError(f"digamma requires x > 0, got a minimum of {x.min()}")
-    shifted = x[..., None] + _DIGAMMA_STEPS
-    below = shifted < _DIGAMMA_SHIFT
-    recurrence = (below / shifted).sum(axis=-1)
-    x = x + below.sum(axis=-1)
-    series = np.vecdot((1.0 / (x * x))[..., None] ** _DIGAMMA_POWERS, _DIGAMMA_SERIES)
-    return np.log(x) - 0.5 / x + series - recurrence
+    recurrence = (1.0 / (x[..., None] + _DIGAMMA_STEPS)).sum(axis=-1)
+    x = x + _DIGAMMA_STEPS.size
+    inv = 1.0 / x
+    series = np.vecdot((inv * inv)[..., None] ** _DIGAMMA_POWERS, _DIGAMMA_SERIES)
+    return np.log(x) - 0.5 * inv + series - recurrence
 
 
 def log_multivariate_gamma(n: int, a: float) -> float:

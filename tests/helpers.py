@@ -99,6 +99,14 @@ def multivariate_digamma(n: int, a: float) -> float:
     return sum(digamma(a + 0.5 * (1 - i)) for i in range(1, n + 1))
 
 
+def iw_mean_of_inverse(dof, scale: SpdFactor) -> np.ndarray:
+    """E{P^{-1}} = g G^{-1} for P ~ IW(g, G), given the factor of G; one dof per matrix.
+
+    The reference for the identity the mixture update uses: E{P^{-1}} = p_tilde^{-1}.
+    """
+    return np.asarray(dof)[..., None, None] * scale.inverse()
+
+
 def iw_expected_logdet(dof: float, scale: SpdFactor) -> float:
     """E{log |P|} = log|G| - n log 2 - psi_n(g/2) for P ~ IW(g, G), given the factor of G."""
     n = scale.lower.shape[-1]

@@ -369,7 +369,7 @@ def _pinned_gain_final_errors(trials):
         sent = np.full(len(trials), schedule[k - 1])
         it = predict(state, model.F(k), cfg)
         assert sweep(it, sent, measurements[:, k - 1], model.H(k), cfg).all()
-        state = FilterState(it.x, it.P, it.s, it.S, it.alpha)
+        state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
     return state.x_hat - np.array(finals)
 
 

@@ -6,12 +6,17 @@ import scipy.special
 
 from etvbf.distributions import (
     SeededRng,
-    iw_mean_of_inverse,
     normalize_log_weights,
     sample_gaussian,
 )
 from etvbf.numerics import spd_factor
-from helpers import dirichlet_expected_log, iw_expected_logdet, iw_log_pdf, random_spd
+from helpers import (
+    dirichlet_expected_log,
+    iw_expected_logdet,
+    iw_log_pdf,
+    iw_mean_of_inverse,
+    random_spd,
+)
 
 
 class TestInverseWishartMoments:

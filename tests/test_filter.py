@@ -95,15 +95,23 @@ class TestFilterConfig:
 
 class TestPredict:
     def test_covariance_bank(self):
+        """The IW scales g_j (fpf + Qbar_j) of the kept fpf give log_norm_j bitwise."""
         cfg = make_config(q_scales=(1.0, 2.0, 3.0))
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=4.0, S=4.0 * np.eye(2), alpha=np.full(3, 2.0)
         )
         pred = predict(state, np.eye(2), cfg)
-        assert pred.G_j.shape == (3, 2, 2)
-        assert np.allclose(pred.G_j, cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q))
-        for j, big_g in enumerate(pred.G_j, start=1):
+        assert np.array_equal(pred.fpf, state.P)  # F = I
+        assert np.array_equal(cfg.scaled_q, cfg.dof_g[:, None, None] * cfg.nominal_q)
+        g_j = cfg.dof_g[:, None, None] * (pred.fpf + cfg.nominal_q)
+        assert g_j.shape == (3, 2, 2)
+        for j, big_g in enumerate(g_j, start=1):
             assert np.allclose(big_g, cfg.dof_g[j - 1] * (1 + j) * np.eye(2))
+        log_norm = (
+            0.5 * cfg.dof_g * spd_factor(g_j).log_det()
+            - cfg.log_norm_const[0] - cfg.log_norm_const[1]
+        )
+        assert pred.log_norm_j.tobytes() == log_norm.tobytes()
 
     def test_log_normalisers_against_scipy(self):
         rng = np.random.default_rng(14)
@@ -134,7 +142,8 @@ class TestPredict:
         state = initial_state(x0_hat, random_spd(rng, n), cfg)
         pred = predict(state, np.eye(n) + 0.1 * rng.standard_normal((n, n)), cfg)
         log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
-        log_det_j = spd_factor(pred.G_j).log_det()
+        g_j = cfg.dof_g[:, None, None] * (pred.fpf[..., None, :, :] + cfg.nominal_q)
+        log_det_j = spd_factor(g_j).log_det()
         per_call = (
             0.5 * cfg.dof_g * log_det_j - 0.5 * n * cfg.dof_g * math.log(2.0) - log_gamma_j
         )
@@ -233,8 +242,9 @@ class TestInitIteration:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
         it = predict(state, np.eye(2), cfg)
-        assert it.g == pytest.approx(10.0)
+        assert np.vecdot(it.chi, cfg.dof_g) == pytest.approx(10.0)
         assert np.allclose(it.chi, 0.2)
+        assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0])  # F = I
         assert np.allclose(it.x, state.x_hat)  # F = I
 
     def test_single_component(self):
@@ -368,9 +378,10 @@ class TestPredictedCovarianceUpdate:
         )
         p_before = it.P.copy()
         update_predicted_cov(it, cfg)
-        assert it.g == pytest.approx(11.0)
-        expected_g = sum(0.2 * g for g in it.G_j) + p_before
-        assert np.allclose(it.G, expected_g, atol=1e-12)
+        # F = I, so component j's IW scale is g_j (P + Qbar_j); g = 0.2 * 5 * 10 + 1.
+        g_j = cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q)
+        expected_g = sum(0.2 * g for g in g_j) + p_before
+        assert np.allclose(11.0 * it.p_tilde, expected_g, atol=1e-12)
 
     def test_weighted_sum_identity(self):
         cfg = make_config(q_scales=(1.0, 4.0), dof=7.0)
@@ -406,7 +417,7 @@ class TestMeasurementCovarianceUpdate:
         assert B[0, 0] == pytest.approx(0.5)
         update_meas_cov(it, B)
         assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 0.5)
-        assert it.s == pytest.approx(it.s_prior + 1.0)
+        assert it.r_tilde[0, 0] == pytest.approx(it.S[0, 0] / (it.s_prior + 1.0))
 
     def test_silent_scalar_reference(self):
         cfg = scalar_config(q_scales=(1.0,))
@@ -434,7 +445,7 @@ class TestMeasurementCovarianceUpdate:
                 np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
             )
             update_meas_cov(it, B)
-            assert it.s == pytest.approx(it.s_prior + 1.0)
+            assert it.r_tilde[0, 0] == pytest.approx(it.S[0, 0] / (it.s_prior + 1.0))
 
 
 class TestMixtureUpdate:
@@ -477,18 +488,21 @@ class TestMixtureUpdate:
         )
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
+        g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde
+        G = g * it.p_tilde
         update_mixture(it, cfg)
 
         # Direct evaluation with scipy special functions.
         n = 1
-        e_p_inv = it.g / it.G[0, 0]
+        e_p_inv = g / G[0, 0]
         e_logdet = (
-            math.log(it.G[0, 0])
+            math.log(G[0, 0])
             - n * math.log(2.0)
-            - float(scipy.special.digamma(0.5 * it.g))
+            - float(scipy.special.digamma(0.5 * g))
         )
         log_w = []
-        for g_j, big_g in zip(cfg.dof_g, it.G_j):
+        # F = I, so component j's IW scale is g_j (P + Qbar_j).
+        for g_j, big_g in zip(cfg.dof_g, cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q)):
             log_w.append(
                 0.5 * g_j * math.log(big_g[0, 0])
                 - 0.5 * big_g[0, 0] * e_p_inv
@@ -522,15 +536,18 @@ class TestMixtureUpdate:
         )
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
+        g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde
+        G = g * it.p_tilde
         update_mixture(it, cfg)
 
         # Dense reference: explicit inverse, slogdet and scipy special functions.
-        e_p_inv = it.g * np.linalg.inv(it.G)
+        e_p_inv = g * np.linalg.inv(G)
         e_logdet = (
-            np.linalg.slogdet(it.G)[1]
+            np.linalg.slogdet(G)[1]
             - n * math.log(2.0)
-            - sum(scipy.special.digamma(0.5 * (it.g + 1 - i)) for i in range(1, n + 1))
+            - sum(scipy.special.digamma(0.5 * (g + 1 - i)) for i in range(1, n + 1))
         )
+        fpf = f_mat @ state.P @ f_mat.T
         log_w = np.array(
             [
                 0.5 * g_j * np.linalg.slogdet(big_g)[1]
@@ -538,7 +555,7 @@ class TestMixtureUpdate:
                 - 0.5 * (g_j + n + 1) * e_logdet
                 - 0.5 * n * g_j * math.log(2.0)
                 - scipy.special.multigammaln(0.5 * g_j, n)
-                for g_j, big_g in zip(cfg.dof_g, it.G_j)
+                for g_j, big_g in zip(cfg.dof_g, cfg.dof_g[:, None, None] * (fpf + cfg.nominal_q))
             ]
         )
         log_w += scipy.special.digamma(alpha_before) - scipy.special.digamma(alpha_before.sum())

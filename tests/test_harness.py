@@ -478,6 +478,8 @@ class TestConfig:
             {"dof_g": math.inf},
             {"s0": math.inf},
             {"alpha0": math.inf},
+            {"dof_g": 1e308},
+            {"alpha0": 1e308},
             {"clset_q_scale": math.inf},
             {"nominal_q_scales": "1239"},
             {"filters": "etvbf"},
@@ -490,13 +492,21 @@ class TestConfig:
             "alpha0-nan", "sample-time-nan", "cosine-period-nan", "n-mc-fraction",
             "n-step-fraction", "max-iterations-fraction", "cosine-period-fraction",
             "seed-fraction", "filters-empty", "sample-time-inf", "dof-g-inf", "s0-inf",
-            "alpha0-inf", "clset-q-inf", "q-scales-string", "filters-string", "grid-string",
+            "alpha0-inf", "dof-g-1e308", "alpha0-1e308", "clset-q-inf", "q-scales-string", "filters-string", "grid-string",
         ],
     )
     def test_rejected_when_built(self, bad):
         """Every grid point is checked by its field's own rule, and no setting waits for a trial."""
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("name", ["dof_g", "alpha0"])
+    def test_large_finite_prior_runs_clean(self, name):
+        """A dof_g or alpha0 of 1e300 keeps its derived terms finite: its trials run with
+        no numpy warning (the suite turns one into an error) and no failure."""
+        records = run_trials(ExperimentConfig(n_step=10, **{name: 1e300}), "etvbf", range(2))
+        assert not any(r.failed for r in records)
+        assert all(np.isfinite(r.estimate).all() for r in records)
 
     @pytest.mark.parametrize(
         "bad",

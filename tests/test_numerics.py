@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ class TestDigamma:
             assert digamma(float(x)) == pytest.approx(
                 float(scipy.special.digamma(x)), abs=1e-10
             )
+
+    @pytest.mark.parametrize("x", [1e154, 1e200, 1e300])
+    def test_large_argument_is_the_asymptote(self, x):
+        """No finite x overflows: psi(x) = log x - 1/(2x) to 1e-12, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = digamma(x)
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.log(x) - 0.5 / x, abs=1e-12)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 10.0, 100.0])
     def test_recurrence(self, x):
