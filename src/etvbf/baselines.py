@@ -3,10 +3,10 @@
 One step, clset_kf_step, serves both the known-covariance event-triggered
 Kalman filter (fixed nominal covariances) and the oracle Kalman filter
 (the true time-varying covariances and an always-transmit outcome). It
-reuses the adaptive filter's transmit and silent updates and its by_branch
-row split, and steps one state or a stack of them along a leading trial
-axis. The non-triggered variational filter is the adaptive filter fed an
-always-transmit outcome.
+takes the adaptive filter's one measurement_update, whose core the
+trigger outcome picks per row, and steps one state or a stack of them
+along a leading trial axis. The non-triggered variational filter is the
+adaptive filter fed an always-transmit outcome.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import by_branch, kalman_update, sent_rows, silent_update
+from .filter import innovation, measurement_update, sent_rows
 from .numerics import symmetrize
 from .trigger import TriggerOutcome
 
@@ -43,19 +43,13 @@ def clset_kf_step(
 
     On a transmission this is the standard update; without one, the
     trigger still shrinks the covariance through the Y-augmented
-    innovation term while the estimate stays at the prediction. Each row
-    of a stack takes only the update of its own trigger branch, and F, H,
-    Q, R may hold one matrix per row. A gamma not shaped like the state's
-    rows raises ValueError.
+    innovation term while the estimate stays at the prediction. Every row
+    of a stack takes measurement_update with the core of its own outcome,
+    and F, H, Q, R may hold one matrix per row. A gamma not shaped like
+    the state's rows raises ValueError.
     """
-    sent, z = sent_rows(outcome, state), outcome.measurement
-    H, R = (a if a.ndim > 2 else np.broadcast_to(a, sent.shape + a.shape) for a in (H, R))
+    sent = sent_rows(outcome, state)
     x_pred = np.matvec(F, state.x_hat)
     p_pred = symmetrize(F @ state.P @ F.mT) + Q
-    return KfState(
-        *by_branch(
-            sent,
-            lambda r: kalman_update(x_pred[r], p_pred[r], z[r], H[r], R[r]),
-            lambda r: (x_pred[r], silent_update(p_pred[r], H[r], R[r], Y)[0]),
-        )
-    )
+    e = innovation(sent, outcome.measurement, np.matvec(H, x_pred))
+    return KfState(*measurement_update(x_pred, p_pred, R, e, sent, H, Y)[:2])

@@ -5,14 +5,14 @@ priors, and iterates that start from them), then sweeps. Each sweep
 refines the state, the predicted error covariance (as an inverse-Wishart
 posterior over a bank of nominal process noise covariances, whose scales
 are affine in F P F^T), the measurement noise covariance, and the mixture
-weights. The trigger outcome decides one thing per sweep: the branch
-update gives the state x, its covariance P and the measurement scatter
-B = E{(z - Hx)(z - Hx)^T}, and every later update is branch-free. The
-no-measurement branch still extracts information from the fact that the
-innovation was small enough to stay below the stochastic trigger.
-by_branch is the one place that splits rows by trigger outcome, here and
-in the known-covariance Kalman baselines, which reuse kalman_update and
-silent_update, plain functions of a predicted covariance.
+weights. Every row takes one Gaussian conditioning, measurement_update,
+which gives the state x, its covariance P and the measurement scatter
+B = E{(z - Hx)(z - Hx)^T}. The trigger outcome only picks that update's
+m-by-m core: a transmission conditions on z, and silence adds the
+trigger's information Y on the innovation, which was small enough to stay
+below the stochastic trigger. The innovation is formed once per step,
+zero on a silent row, so no sweep reads an untransmitted measurement. The
+known-covariance Kalman baselines take the same update.
 
 Every function but etvbf_step takes one filter state, or a stack of B of
 them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
@@ -30,6 +30,7 @@ import numpy as np
 
 from .distributions import normalize_log_weights
 from .numerics import (
+    NotPositiveDefinite,
     Singular,
     digamma,
     is_integer,
@@ -46,11 +47,8 @@ __all__ = [
     "IterationState",
     "StepDiagnostics",
     "initial_state",
-    "kalman_update",
-    "silent_update",
     "predict",
-    "update_joint_no_meas",
-    "update_state_meas",
+    "measurement_update",
     "update_predicted_cov",
     "update_meas_cov",
     "update_mixture",
@@ -218,43 +216,6 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     )
 
 
-def kalman_update(
-    x_pred: np.ndarray, p_pred: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission branch: standard gain update of (x_pred, p_pred) with z ~ N(Hx, R)."""
-    ph_t = p_pred @ H.mT
-    gain_t = spd_factor(symmetrize(H @ ph_t) + R).solve(ph_t.mT)
-    x_hat = x_pred + np.matvec(gain_t.mT, z - np.matvec(H, x_pred))
-    p_hat = symmetrize(p_pred - ph_t @ gain_t)
-    return x_hat, p_hat
-
-
-def silent_update(
-    p_pred: np.ndarray, H: np.ndarray, R: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """No-transmission branch: the state, cross and measurement covariance blocks.
-
-    With the measurement withheld, the state and the unseen measurement
-    stay jointly Gaussian; the trigger contributes Y as extra information
-    on the measurement block. The blocks are those of
-    (Phi^{-1} + diag(0, Y))^{-1}, rearranged so that only the
-    well-conditioned m-by-m matrix I + Y (H P H^T + R) is ever solved
-    against (the direct forms would need Y^{-1}, which blows up for the
-    small trigger weights used in practice). The estimate stays at the
-    prediction.
-    """
-    m, n = H.shape[-2:]
-    ph_t = p_pred @ H.mT
-    c = symmetrize(H @ ph_t) + R
-    gain_core = np.eye(m) + Y @ c
-    try:
-        solved = np.linalg.solve(gain_core.mT, np.concatenate([ph_t.mT, c], axis=-1))
-    except np.linalg.LinAlgError as exc:
-        raise Singular("trigger-augmented innovation matrix is singular") from exc
-    p_xz, p_zz = solved[..., :n].mT, symmetrize(solved[..., n:])
-    return symmetrize(p_pred - p_xz @ Y @ ph_t.mT), p_xz, p_zz
-
-
 def sent_rows(outcome: TriggerOutcome, state) -> np.ndarray:
     """Which rows of a state transmit; raises ValueError unless gamma has one entry per row."""
     gamma, rows = np.asarray(outcome.gamma), state.x_hat.shape[:-1]
@@ -263,43 +224,46 @@ def sent_rows(outcome: TriggerOutcome, state) -> np.ndarray:
     return gamma == 1
 
 
-def by_branch(sent, transmit, silent):
-    """Each row's results from its own trigger branch: transmit where sent, silent elsewhere.
+def innovation(sent, z, z_pred) -> np.ndarray:
+    """A step's innovation e: z - z_pred on sent rows, and 0 on silent ones.
 
-    transmit and silent map a row selector to a tuple of arrays with one
-    leading entry per selected row. When every row takes one branch, that
-    branch runs once on all of them, selected by ... with no gather, so a
-    single state stays unstacked; a mixed stack runs each branch on its
-    rows and scatters the results back by mask.
+    z is None for a silent single state and NaN on a stack's silent rows;
+    neither enters any arithmetic.
     """
-    if (count := np.count_nonzero(sent)) == sent.size:
-        return transmit(...)
-    if not count:
-        return silent(...)
-    unsent, merged = ~sent, []
-    for sent_part, silent_part in zip(transmit(sent), silent(unsent)):
-        out = np.empty(sent.shape + sent_part.shape[1:], dtype=sent_part.dtype)
-        out[sent], out[unsent] = sent_part, silent_part
-        merged.append(out)
-    return tuple(merged)
+    if sent.ndim == 0:
+        return z - z_pred if sent else np.zeros_like(z_pred)
+    return np.where(sent[:, None], z, z_pred) - z_pred
 
 
-def update_joint_no_meas(
-    x_pred: np.ndarray, p_tilde: np.ndarray, r_tilde: np.ndarray, H: np.ndarray, Y: np.ndarray
+def measurement_update(
+    x_pred: np.ndarray, p_pred: np.ndarray, R: np.ndarray, e: np.ndarray, sent, H: np.ndarray,
+    Y: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """No-transmission branch with the working covariances: (x, P, B), see silent_update."""
-    P, p_xz, p_zz = silent_update(p_tilde, H, r_tilde, Y)
-    hp_xz = H @ p_xz
-    return x_pred.copy(), P, H @ P @ H.mT - hp_xz.mT - hp_xz + p_zz
+    """Condition (x_pred, p_pred) on the step's measurement; (x, P, B) for every row.
 
-
-def update_state_meas(
-    x_pred: np.ndarray, p_tilde: np.ndarray, r_tilde: np.ndarray, z: np.ndarray, H: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmission branch: (x, P, B) of the standard gain update with the working covariances."""
-    x, P = kalman_update(x_pred, p_tilde, z, H, r_tilde)
-    residual = z - np.matvec(H, x)
-    return x, P, residual[..., :, None] * residual[..., None, :] + H @ P @ H.mT
+    With ph = p_pred H^T and C = H ph + R, one stacked solve gives each
+    row's m-by-m core K: C^{-1} on a sent row, conditioning on z ~ N(Hx, R);
+    on a silent row (Y^{-1} + C)^{-1}, solved as (I + Y C)^{-1} Y so that
+    Y^{-1} is never formed (I + Y C is nonsingular for SPD C, and Y = 0
+    gives K = 0). e is the innovation, 0 on silent rows, so the estimate
+    stays at the prediction there. Then x = x_pred + ph K e,
+    P = p_pred - ph K ph^T, and, with r = R K e, the scatter
+    B = r r^T + R - R K R: r r^T + H P H^T on a sent row, and the joint
+    posterior's Theta_zz - H Theta_xz - Theta_zx H^T + H Theta_xx H^T on a
+    silent one. Raises Singular when a core system cannot be solved.
+    """
+    ph = p_pred @ H.mT
+    c = symmetrize(H @ ph) + R
+    eye, per_row = np.eye(c.shape[-1]), np.asarray(sent)[..., None, None]
+    try:
+        k = np.linalg.solve(np.where(per_row, c, eye + Y @ c), np.where(per_row, eye, Y))
+    except np.linalg.LinAlgError as exc:
+        raise Singular("innovation core matrix is singular") from exc
+    k_e = np.matvec(k, e)
+    r = np.matvec(R, k_e)
+    x = x_pred + np.matvec(ph, k_e)
+    P = symmetrize(p_pred - ph @ k @ ph.mT)
+    return x, P, r[..., :, None] * r[..., None, :] + symmetrize(R - R @ k @ R)
 
 
 def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
@@ -326,9 +290,13 @@ def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     formed it, come from one Cholesky factor: E{P^{-1}} = p_tilde^{-1}, and
     one digamma call serves
     E{log|P|} = log|p_tilde| + n log(g/2) - sum_i psi((g + 1 - i)/2) and
-    E{log mu_j} = psi(alpha_j) - psi(sum alpha).
+    E{log mu_j} = psi(alpha_j) - psi(sum alpha). A p_tilde that overflowed
+    (a huge dof_g can make it) is a breakdown: NotPositiveDefinite.
     """
-    p_factor = spd_factor(it.p_tilde)
+    try:
+        p_factor = spd_factor(it.p_tilde)
+    except ValueError as exc:  # built symmetric, p_tilde fails these checks only by overflow
+        raise NotPositiveDefinite(f"p_tilde: {exc}") from exc
     n, m_size = it.p_tilde.shape[-1], it.alpha.shape[-1]
     g = np.vecdot(it.chi, cfg.dof_g) + 1.0
     e_p_inv = p_factor.inverse().reshape(it.chi.shape[:-1] + (n * n,))
@@ -361,19 +329,16 @@ def check_convergence(x_new: np.ndarray, x_old: np.ndarray, tol: float):
     return np.sqrt(np.vecdot(step, step)) <= tol * np.sqrt(np.vecdot(x_old, x_old))
 
 
-def sweep(it: IterationState, sent, z, H: np.ndarray, cfg: FilterConfig):
+def sweep(it: IterationState, sent, e, H: np.ndarray, cfg: FilterConfig):
     """One fixed-point sweep on every row of it; returns which rows stop after it.
 
-    Row i takes the branch update of sent[i] with z[i] and H[i]. A row stops
-    when its state changed by at most tol, or at its max_iterations-th sweep.
+    Row i takes measurement_update with the core of its outcome sent[i],
+    its innovation e[i] (see innovation) and H[i]. A row stops when its
+    state changed by at most tol, or at its max_iterations-th sweep.
     """
     x_prev = it.x
-    it.x, it.P, B = by_branch(
-        sent,
-        lambda r: update_state_meas(it.x_pred[r], it.p_tilde[r], it.r_tilde[r], z[r], H[r]),
-        lambda r: update_joint_no_meas(
-            it.x_pred[r], it.p_tilde[r], it.r_tilde[r], H[r], cfg.trigger.Y
-        ),
+    it.x, it.P, B = measurement_update(
+        it.x_pred, it.p_tilde, it.r_tilde, e, sent, H, cfg.trigger.Y
     )
     update_meas_cov(it, B)
     update_predicted_cov(it, cfg)
@@ -401,7 +366,8 @@ def etvbf_step(
             "step stacks with run_trials, or with predict and sweep"
         )
     it = predict(state, F, cfg)
-    while not sweep(it, sent, outcome.measurement, H, cfg):
+    e = innovation(sent, outcome.measurement, np.matvec(H, it.x_pred))
+    while not sweep(it, sent, e, H, cfg):
         pass
     new_state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
     return new_state, StepDiagnostics(it.sweeps, it.p_tilde, it.r_tilde, it.chi)

@@ -26,7 +26,9 @@ import numpy as np
 
 from .baselines import KfState, clset_kf_step
 from .distributions import SeededRng, sample_gaussian
-from .filter import FilterConfig, FilterState, initial_state, predict, sweep, take_rows
+from .filter import (
+    FilterConfig, FilterState, initial_state, innovation, predict, sweep, take_rows,
+)
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular, is_integer
 from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
@@ -270,13 +272,13 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     def enter(rows, kr, prev):
         """Start step kr + 1 of rows from prev, with the trigger's outcome for it."""
         f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
-        z_k = measurements[rows, kr]
+        z_k, z_pred = measurements[rows, kr], np.matvec(h, np.matvec(f, prev.x_hat))
         if triggered:
-            z_pred = np.matvec(h, np.matvec(f, prev.x_hat))
             outcome = sensor_decide(z_k, z_pred, fcfg.trigger, zeta[rows, kr])
         else:
             outcome = TriggerOutcome(gamma=np.ones(rows.size, dtype=int), measurement=z_k)
-        inputs = (outcome.gamma == 1, outcome.measurement, h, kr, rows)
+        sent = outcome.gamma == 1
+        inputs = (sent, innovation(sent, outcome.measurement, z_pred), h, kr, rows)
         return begin(prev, kr, f, h, outcome), inputs
 
     def retire(work, inputs):

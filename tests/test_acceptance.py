@@ -25,15 +25,15 @@ from etvbf.filter import (
     FilterState,
     etvbf_step,
     initial_state,
+    innovation,
+    measurement_update,
     predict,
-    silent_update,
     sweep,
-    update_joint_no_meas,
 )
 from etvbf.harness import ExperimentConfig, emit_outputs, run_sweep
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.trigger import TriggerConfig, TriggerOutcome, sensor_decide, trigger_probability
-from helpers import block_inverse, dense_theta, random_spd
+from helpers import block_inverse, dense_kalman_update, dense_theta, random_spd
 
 PRIMARY_SEED = 20240
 RETRY_SEED = 20241
@@ -94,11 +94,13 @@ def test_01_degenerate_config_matches_kalman_oracle():
 
 
 def test_02_closed_forms_match_brute_force():
-    """The silent-branch covariance blocks, the partitioned SPD inverse, and
-    the joint-covariance decoupling identities must match dense linear
-    algebra on random instances."""
+    """The measurement update, on a silent row against the dense joint
+    inverse and on a sent row against the dense Kalman update, the
+    partitioned SPD inverse, and the joint-covariance decoupling identities
+    must match dense linear algebra on random instances."""
     start = time.perf_counter()
     rng = np.random.default_rng(202)
+    row_rng = np.random.default_rng(2020)  # the estimates and measurements of the update rows
     n, m = 4, 2
     h = np.hstack([np.eye(m), np.zeros((m, n - m))])
 
@@ -108,13 +110,26 @@ def test_02_closed_forms_match_brute_force():
         r_tilde = random_spd(rng, m, scale=float(rng.uniform(0.5, 5.0)))
         y = random_spd(rng, m, scale=float(rng.uniform(0.01, 1.0)))
         theta = dense_theta(p_tilde, r_tilde, h, y)
-        _, p_post, _ = update_joint_no_meas(np.zeros(n), p_tilde, r_tilde, h, y)
-        _, p_xz, p_zz = silent_update(p_tilde, h, r_tilde, y)
+        # One stack: row 0 transmits z, row 1 stays silent.
+        x_pred, z = row_rng.standard_normal((2, n)), row_rng.standard_normal(m)
+        sent = np.array([True, False])
+        e = innovation(sent, np.array([z, np.full(m, np.nan)]), np.matvec(h, x_pred))
+        x, P, B = measurement_update(
+            x_pred, np.array([p_tilde] * 2), np.array([r_tilde] * 2), e, sent, h, y
+        )
+        x_ref, p_ref = dense_kalman_update(x_pred[0], p_tilde, z, h, r_tilde)
+        resid = z - h @ x_ref
+        scatter = (
+            theta[n:, n:] - h @ theta[:n, n:] - theta[n:, :n] @ h.T + h @ theta[:n, :n] @ h.T
+        )
         worst_block = max(
             worst_block,
-            float(np.abs(p_post - theta[:n, :n]).max()),
-            float(np.abs(p_xz - theta[:n, n:]).max()),
-            float(np.abs(p_zz - theta[n:, n:]).max()),
+            float(np.abs(P[1] - theta[:n, :n]).max()),
+            float(np.abs(B[1] - scatter).max()),
+            float(np.abs(x[1] - x_pred[1]).max()),
+            float(np.abs(x[0] - x_ref).max()),
+            float(np.abs(P[0] - p_ref).max()),
+            float(np.abs(B[0] - np.outer(resid, resid) - h @ p_ref @ h.T).max()),
         )
 
     worst_partition = 0.0
@@ -162,7 +177,7 @@ def test_02_closed_forms_match_brute_force():
     report(
         2,
         passed,
-        f"silent-branch blocks {worst_block:.3e} (tol 1e-9, 100 cases), "
+        f"measurement update {worst_block:.3e} (tol 1e-9, 100 sent and silent cases), "
         f"partitioned inverse {worst_partition:.3e} (tol 1e-8, 200 cases), "
         f"decoupling {worst_decouple:.3e} (tol 1e-9, 100 cases), {elapsed:.2f}s",
     )
@@ -368,7 +383,8 @@ def _pinned_gain_final_errors(trials):
     for k in range(1, steps + 1):
         sent = np.full(len(trials), schedule[k - 1])
         it = predict(state, model.F(k), cfg)
-        assert sweep(it, sent, measurements[:, k - 1], model.H(k), cfg).all()
+        e = innovation(sent, measurements[:, k - 1], np.matvec(model.H(k), it.x_pred))
+        assert sweep(it, sent, e, model.H(k), cfg).all()
         state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
     return state.x_hat - np.array(finals)
 

@@ -14,19 +14,18 @@ from etvbf.filter import (
     check_convergence,
     etvbf_step,
     initial_state,
+    innovation,
+    measurement_update,
     predict,
-    silent_update,
     take_rows,
-    update_joint_no_meas,
     update_meas_cov,
     update_mixture,
     update_predicted_cov,
-    update_state_meas,
 )
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
-from etvbf.numerics import log_multivariate_gamma, spd_factor
+from etvbf.numerics import log_multivariate_gamma, spd_factor, symmetrize
 from etvbf.trigger import TriggerConfig, TriggerOutcome
-from helpers import dense_theta, field_bytes, random_spd
+from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
 
 
 def make_config(
@@ -55,6 +54,18 @@ def make_config(
 
 def scalar_config(**kwargs):
     return make_config(n=1, m=1, **kwargs)
+
+
+def sent_row(x_pred, p_tilde, r_tilde, z, h):
+    """measurement_update of a transmitting state: innovation z - H x_pred, and no part for Y."""
+    e = innovation(np.True_, z, h @ x_pred)
+    return measurement_update(x_pred, p_tilde, r_tilde, e, np.True_, h, np.eye(len(z)))
+
+
+def silent_row(x_pred, p_tilde, r_tilde, h, y):
+    """measurement_update of a silent state under trigger weight y: a zero innovation."""
+    e = innovation(np.False_, None, h @ x_pred)
+    return measurement_update(x_pred, p_tilde, r_tilde, e, np.False_, h, y)
 
 
 class TestFilterConfig:
@@ -195,8 +206,9 @@ class TestPredict:
 class TestPerRowMatrices:
     @pytest.mark.parametrize("rows", [1, 7, 50])
     def test_one_matrix_per_row_is_bitwise_the_shared_one(self, rows):
-        """predict, both branch updates and clset_kf_step given F, H (and Q, R) as
-        (B, ., .) stacks of one matrix give bitwise what the shared matrix gives."""
+        """predict, measurement_update on sent, silent and mixed stacks, and clset_kf_step
+        given F, H (and Q, R) as (B, ., .) stacks of one matrix give bitwise what the
+        shared matrix gives."""
         rng = np.random.default_rng(17)
         n, m = 4, 2
         cfg = make_config(n=n, m=m, q_scales=(1.0, 2.0, 3.0), rho=0.997, y_scale=0.015)
@@ -218,13 +230,13 @@ class TestPerRowMatrices:
         it = predict(stack, f, cfg)
         same(vars(it).values(), vars(predict(stack, per_row[0], cfg)).values())
         z = rng.standard_normal((rows, m))
-        args = (it.x_pred, it.p_tilde, it.r_tilde)
-        same(update_state_meas(*args, z, h), update_state_meas(*args, z, per_row[1]))
-        same(
-            update_joint_no_meas(*args, h, cfg.trigger.Y),
-            update_joint_no_meas(*args, per_row[1], cfg.trigger.Y),
-        )
         gamma = np.arange(rows) % 2
+        for sent in (np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool), gamma == 1):
+            args = (it.x_pred, it.p_tilde, it.r_tilde, innovation(sent, z, np.matvec(h, it.x_pred)))
+            same(
+                measurement_update(*args, sent, h, cfg.trigger.Y),
+                measurement_update(*args, sent, per_row[1], cfg.trigger.Y),
+            )
         outcome = TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
         kf = KfState(x_hat=stack.x_hat, P=stack.P)
         same(
@@ -288,19 +300,14 @@ def scalar_iteration(p_tilde=1.0, r_tilde=1.0):
 class TestJointUpdateNoMeasurement:
     def test_scalar_reference(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        _, p_xz, p_zz = silent_update(it.p_tilde, np.eye(1), it.r_tilde, np.eye(1))
-        it.x, it.P, B = update_joint_no_meas(
-            np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
-        )
+        it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
         assert it.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert p_zz[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert p_xz[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        # B = P - 2 Pxz + Pzz = 2/3 - 2/3 + 2/3
+        # B = P - 2 Pxz + Pzz = 2/3 - 2/3 + 2/3, with Pxz = 1/3 and Pzz = 2/3
         assert B[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_vanishing_trigger_information(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, B = update_joint_no_meas(
+        it.x, it.P, B = silent_row(
             np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), 1e-12 * np.eye(1)
         )
         assert it.P[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -319,12 +326,9 @@ class TestJointUpdateNoMeasurement:
             it.r_tilde = random_spd(rng, m)
             h = rng.standard_normal((m, n))
             y = random_spd(rng, m, scale=0.5)
-            _, p_xz, p_zz = silent_update(it.p_tilde, h, it.r_tilde, y)
-            it.x, it.P, B = update_joint_no_meas(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
+            it.x, it.P, B = silent_row(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
             theta = dense_theta(it.p_tilde, it.r_tilde, h, y)
             assert np.linalg.norm(it.P - theta[:n, :n]) < 1e-9
-            assert np.linalg.norm(p_xz - theta[:n, n:]) < 1e-9
-            assert np.linalg.norm(p_zz - theta[n:, n:]) < 1e-9
             # E{(z - Hx)(z - Hx)^T} of the dense joint covariance
             scatter = (
                 h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
@@ -335,35 +339,106 @@ class TestJointUpdateNoMeasurement:
     def test_state_pinned_to_prediction(self):
         it = scalar_iteration()
         x_pred = np.array([3.7])
-        it.x, it.P, B = update_joint_no_meas(
-            x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
-        )
+        it.x, it.P, B = silent_row(x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
         assert np.array_equal(it.x, x_pred)
 
 
 class TestStateUpdateWithMeasurement:
     def test_scalar_gain_half(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        it.x, it.P, B = update_state_meas(
-            np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1)
-        )
+        it.x, it.P, B = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1))
         assert it.x[0] == pytest.approx(0.5)
         assert it.P[0, 0] == pytest.approx(0.5)
 
     def test_uninformative_measurement(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1e12)
-        it.x, it.P, B = update_state_meas(
-            np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1)
-        )
+        it.x, it.P, B = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1))
         assert abs(it.x[0]) < 1e-9
 
     def test_unobservable(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, B = update_state_meas(
+        it.x, it.P, B = sent_row(
             np.array([1.0]), it.p_tilde, it.r_tilde, np.array([5.0]), np.zeros((1, 1))
         )
         assert it.x[0] == pytest.approx(1.0)
         assert it.P[0, 0] == pytest.approx(2.0)
+
+
+class TestMeasurementUpdate:
+    """The one update every row takes; the trigger outcome picks its m-by-m core."""
+
+    @staticmethod
+    def rows(rng, count, n=4, m=2):
+        """A stack of exactly symmetric priors, as the filter builds them, and H, Y, z."""
+        x_pred = rng.standard_normal((count, n))
+        p = np.array([symmetrize(random_spd(rng, n)) for _ in range(count)])
+        r = np.array([symmetrize(random_spd(rng, m)) for _ in range(count)])
+        h, y = rng.standard_normal((m, n)), random_spd(rng, m, scale=0.05)
+        return x_pred, p, r, h, y, rng.standard_normal((count, m))
+
+    def test_mixed_stack_rows_bitwise_their_own_stacks(self):
+        """A mixed stack's rows are bitwise the same rows run as one-row stacks and as
+        stacks of one outcome."""
+        rng = np.random.default_rng(31)
+        x_pred, p, r, h, y, z = self.rows(rng, 7)
+        sent = np.array([1, 0, 0, 1, 1, 0, 1]) == 1
+        z[~sent] = np.nan
+        e = innovation(sent, z, np.matvec(h, x_pred))
+        mixed = measurement_update(x_pred, p, r, e, sent, h, y)
+        for i in range(sent.size):
+            alone = measurement_update(
+                x_pred[i : i + 1], p[i : i + 1], r[i : i + 1], e[i : i + 1], sent[i : i + 1], h, y
+            )
+            for got, want in zip(mixed, alone):
+                assert got[i].tobytes() == want[0].tobytes()
+        for rows in (sent, ~sent):
+            one_outcome = measurement_update(
+                x_pred[rows], p[rows], r[rows], e[rows], sent[rows], h, y
+            )
+            for got, want in zip(mixed, one_outcome):
+                assert got[rows].tobytes() == want.tobytes()
+
+    def test_zero_trigger_weight_keeps_the_prior(self):
+        """At Y = 0 a silent row learns nothing: P = p_pred, B = R and x = x_pred exactly,
+        beside a sent row in the same stack."""
+        rng = np.random.default_rng(32)
+        x_pred, p, r, h, _, z = self.rows(rng, 2)
+        sent = np.array([True, False])
+        z[1] = np.nan
+        e = innovation(sent, z, np.matvec(h, x_pred))
+        x, P, B = measurement_update(x_pred, p, r, e, sent, h, np.zeros((2, 2)))
+        assert np.array_equal(x[1], x_pred[1])
+        assert np.array_equal(P[1], p[1])
+        assert np.array_equal(B[1], r[1])
+        assert not np.array_equal(P[0], p[0])
+
+    def test_scatter_against_dense_references(self):
+        """B is the joint posterior's scatter Theta_zz - H Theta_xz - Theta_zx H^T +
+        H Theta_xx H^T on a silent row, and r r^T + H P H^T of the dense Kalman update on
+        a sent one, with r = z - H x."""
+        rng = np.random.default_rng(33)
+        n = 4
+        for _ in range(100):
+            x_pred, p, r, h, y, z = self.rows(rng, 2, n=n)
+            sent = np.array([True, False])
+            z[1] = np.nan
+            e = innovation(sent, z, np.matvec(h, x_pred))
+            x, P, B = measurement_update(x_pred, p, r, e, sent, h, y)
+
+            x_ref, p_ref = dense_kalman_update(x_pred[0], p[0], z[0], h, r[0])
+            resid = z[0] - h @ x_ref
+            assert np.linalg.norm(x[0] - x_ref) < 1e-9
+            assert np.linalg.norm(P[0] - p_ref) < 1e-9
+            assert np.linalg.norm(B[0] - (np.outer(resid, resid) + h @ p_ref @ h.T)) < 1e-9
+
+            theta = dense_theta(p[1], r[1], h, y)
+            scatter = (
+                h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
+                + theta[n:, n:]
+            )
+            assert np.array_equal(x[1], x_pred[1])
+            assert np.linalg.norm(P[1] - theta[:n, :n]) < 1e-9
+            assert np.linalg.norm(B[1] - scatter) < 1e-9
 
 
 class TestPredictedCovarianceUpdate:
@@ -373,9 +448,7 @@ class TestPredictedCovarianceUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = update_joint_no_meas(
-            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
-        )
+        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         p_before = it.P.copy()
         update_predicted_cov(it, cfg)
         # F = I, so component j's IW scale is g_j (P + Qbar_j); g = 0.2 * 5 * 10 + 1.
@@ -390,7 +463,7 @@ class TestPredictedCovarianceUpdate:
             alpha=np.array([1.0, 3.0]),
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = update_state_meas(
+        it.x, it.P, B = sent_row(
             it.x_pred, it.p_tilde, it.r_tilde, np.array([2.0, 0.0]), np.eye(2)
         )
         update_predicted_cov(it, cfg)
@@ -409,7 +482,7 @@ class TestMeasurementCovarianceUpdate:
     def test_transmitted_zero_residual(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
         # z = x_pred = 2 leaves x at 2 with P = 0.5, so B = 0^2 + 0.5.
-        it.x, it.P, B = update_state_meas(
+        it.x, it.P, B = sent_row(
             np.array([2.0]), it.p_tilde, it.r_tilde, np.array([2.0]), np.eye(1)
         )
         assert it.x[0] == pytest.approx(2.0)
@@ -427,9 +500,7 @@ class TestMeasurementCovarianceUpdate:
         it = predict(state, np.eye(1), cfg)
         it.p_tilde = np.eye(1)
         it.r_tilde = np.eye(1)
-        it.x, it.P, B = update_joint_no_meas(
-            np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
-        )
+        it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
         update_meas_cov(it, B)
         # B = 2/3 - 2/3 + 2/3
         assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
@@ -441,9 +512,7 @@ class TestMeasurementCovarianceUpdate:
         )
         it = predict(state, np.eye(1), cfg)
         for _ in range(4):
-            it.x, it.P, B = update_joint_no_meas(
-                np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
-            )
+            it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
             update_meas_cov(it, B)
             assert it.r_tilde[0, 0] == pytest.approx(it.S[0, 0] / (it.s_prior + 1.0))
 
@@ -455,9 +524,7 @@ class TestMixtureUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(1)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = update_joint_no_meas(
-            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
-        )
+        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         update_predicted_cov(it, cfg)
         update_mixture(it, cfg)
         assert np.allclose(it.chi, [1.0])
@@ -469,9 +536,7 @@ class TestMixtureUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(3)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = update_joint_no_meas(
-            it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2)
-        )
+        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         update_predicted_cov(it, cfg)
         update_mixture(it, cfg)
         assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
@@ -483,9 +548,7 @@ class TestMixtureUpdate:
             alpha=np.array([1.0, 2.0]),
         )
         it = predict(state, np.eye(1), cfg)
-        it.x, it.P, B = update_state_meas(
-            it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1)
-        )
+        it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1))
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
         g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde
@@ -531,9 +594,8 @@ class TestMixtureUpdate:
         f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         h_mat = rng.standard_normal((2, n))
         it = predict(state, f_mat, cfg)
-        it.x, it.P, B = update_state_meas(
-            it.x_pred, it.p_tilde, it.r_tilde, h_mat @ it.x_pred + np.array([3.0, -2.0]), h_mat
-        )
+        z = h_mat @ it.x_pred + np.array([3.0, -2.0])
+        it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, z, h_mat)
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
         g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde

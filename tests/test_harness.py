@@ -508,6 +508,20 @@ class TestConfig:
         assert not any(r.failed for r in records)
         assert all(np.isfinite(r.estimate).all() for r in records)
 
+    def test_overflowing_iterate_is_a_recorded_breakdown(self):
+        """dof_g = 1e305 passes the construction rule, but trial 1's p_tilde overflows at
+        step 4: run_trials records that failure, naming p_tilde, and does not raise. The
+        overflow warns, which the suite would otherwise turn into an error."""
+        cfg = ExperimentConfig(n_step=10, dof_g=1e305)
+        with pytest.warns(RuntimeWarning):
+            records = run_trials(cfg, "etvbf", range(2))
+            alone = run_trial(cfg, "etvbf", 1)
+        assert not records[0].failed and np.isfinite(records[0].estimate).all()
+        assert (records[1].failed, records[1].fail_step) == (True, 4)
+        assert records[1].fail_reason.startswith("p_tilde: ")
+        assert "non-finite" in records[1].fail_reason
+        assert_same_record(records[1], alone)
+
     @pytest.mark.parametrize(
         "bad",
         [{"nominal_q_scales": "1239"}, {"filters": "etvbf"}, {"sweep_grid": "0.5"}],

@@ -237,7 +237,7 @@ class TestSpdFactorSolveAndInverse:
     def test_stack_members_bitwise_equal_single_calls(self, dim):
         rng = np.random.default_rng(200 + dim)
         stack = np.stack([_spd_with_condition(rng, dim, c) for c in (1.0, 1e2, 1e4, 1e6, 1e8)])
-        rhs = rng.standard_normal((5, 2, dim)).mT  # a transposed view, as kalman_update passes
+        rhs = rng.standard_normal((5, 2, dim)).mT  # a transposed view
         stacked = spd_factor(stack)
         solved, inverses = stacked.solve(rhs), stacked.inverse()
         for i, m in enumerate(stack):
