@@ -1,13 +1,12 @@
-"""Known-covariance Kalman baselines sharing the model and trigger interfaces.
+"""Known-covariance Kalman baselines sharing the model and the adaptive filter's update.
 
 One step, clset_kf_step, serves both the known-covariance event-triggered
 Kalman filter (fixed nominal covariances) and the oracle Kalman filter
-(the true time-varying covariances and an always-transmit outcome). It
-takes the adaptive filter's one measurement_update, whose core the
-trigger outcome picks per row, and steps one state or a stack of them
-along a leading trial axis. The non-triggered variational filter is the
-adaptive filter fed an always-transmit outcome.
-"""
+(the true time-varying covariances, every row sent). It takes the
+adaptive filter's one measurement_update and the (sent, e) pair that
+filter.sweep takes, for one state or a stack along a leading trial axis.
+The non-triggered variational filter is the adaptive filter with every
+row sent."""
 
 from __future__ import annotations
 
@@ -15,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import innovation, measurement_update, sent_rows
+from .filter import measurement_update
 from .numerics import symmetrize
-from .trigger import TriggerOutcome
 
 __all__ = ["KfState", "clset_kf_step"]
 
@@ -37,19 +35,22 @@ def clset_kf_step(
     Q: np.ndarray,
     R: np.ndarray,
     Y: np.ndarray,
-    outcome: TriggerOutcome,
+    sent,
+    e: np.ndarray,
 ) -> KfState:
     """Event-triggered Kalman filter step with the given covariances Q and R.
 
     On a transmission this is the standard update; without one, the
     trigger still shrinks the covariance through the Y-augmented
-    innovation term while the estimate stays at the prediction. Every row
-    of a stack takes measurement_update with the core of its own outcome,
-    and F, H, Q, R may hold one matrix per row. A gamma not shaped like
-    the state's rows raises ValueError.
+    innovation term while the estimate stays at the prediction. sent says
+    which rows transmitted and e is the innovation against H F x_hat, 0 on
+    a silent row (see filter.innovation). Each row takes measurement_update
+    with the core of its own decision, and F, H, Q, R may hold one matrix
+    per row. A sent not shaped like the state's rows raises ValueError.
     """
-    sent = sent_rows(outcome, state)
+    rows = state.x_hat.shape[:-1]
+    if np.shape(sent) != rows:
+        raise ValueError(f"sent {np.shape(sent)} and state rows {rows} differ")
     x_pred = np.matvec(F, state.x_hat)
     p_pred = symmetrize(F @ state.P @ F.mT) + Q
-    e = innovation(sent, outcome.measurement, np.matvec(H, x_pred))
     return KfState(*measurement_update(x_pred, p_pred, R, e, sent, H, Y)[:2])

@@ -7,12 +7,13 @@ posterior over a bank of nominal process noise covariances, whose scales
 are affine in F P F^T), the measurement noise covariance, and the mixture
 weights. Every row takes one Gaussian conditioning, measurement_update,
 which gives the state x, its covariance P and the measurement scatter
-B = E{(z - Hx)(z - Hx)^T}. The trigger outcome only picks that update's
-m-by-m core: a transmission conditions on z, and silence adds the
-trigger's information Y on the innovation, which was small enough to stay
-below the stochastic trigger. The innovation is formed once per step,
-zero on a silent row, so no sweep reads an untransmitted measurement. The
-known-covariance Kalman baselines take the same update.
+B = E{(z - Hx)(z - Hx)^T}. A row's trigger decision only picks that
+update's m-by-m core: a transmission conditions on z, and silence adds
+the trigger's information Y on the innovation, which was small enough to
+stay below the stochastic trigger. A step's decisions come as the pair
+(sent, e): which rows sent, and the innovation, formed once per step and
+zero on a silent row, so no sweep reads an untransmitted measurement.
+The known-covariance Kalman baselines take the same update.
 
 Every function but etvbf_step takes one filter state, or a stack of B of
 them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
@@ -91,8 +92,8 @@ class FilterConfig:
             raise ValueError("alpha0 must hold one positive finite value per nominal covariance")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         with np.errstate(over="ignore"):  # a finite dof_g or alpha0 can still be too large
@@ -216,21 +217,12 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     )
 
 
-def sent_rows(outcome: TriggerOutcome, state) -> np.ndarray:
-    """Which rows of a state transmit; raises ValueError unless gamma has one entry per row."""
-    gamma, rows = np.asarray(outcome.gamma), state.x_hat.shape[:-1]
-    if gamma.shape != rows:
-        raise ValueError(f"outcome gamma {gamma.shape} and state rows {rows} differ")
-    return gamma == 1
-
-
 def innovation(sent, z, z_pred) -> np.ndarray:
     """A step's innovation e: z - z_pred on sent rows, and 0 on silent ones.
 
-    z is None for a silent single state and NaN on a stack's silent rows;
-    neither enters any arithmetic.
+    A silent row's z (None for a silent single state) enters no arithmetic.
     """
-    if sent.ndim == 0:
+    if np.ndim(sent) == 0:
         return z - z_pred if sent else np.zeros_like(z_pred)
     return np.where(sent[:, None], z, z_pred) - z_pred
 
@@ -291,7 +283,8 @@ def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     one digamma call serves
     E{log|P|} = log|p_tilde| + n log(g/2) - sum_i psi((g + 1 - i)/2) and
     E{log mu_j} = psi(alpha_j) - psi(sum alpha). A p_tilde that overflowed
-    (a huge dof_g can make it) is a breakdown: NotPositiveDefinite.
+    (a huge dof_g can make it) or an alpha that underflowed (a tiny rho can
+    make it) is a breakdown: NotPositiveDefinite.
     """
     try:
         p_factor = spd_factor(it.p_tilde)
@@ -301,9 +294,12 @@ def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     g = np.vecdot(it.chi, cfg.dof_g) + 1.0
     e_p_inv = p_factor.inverse().reshape(it.chi.shape[:-1] + (n * n,))
     half_dofs = 0.5 * np.asarray(g)[..., None] + np.arange(0.0, -0.5 * n, -0.5)
-    psi = digamma(
-        np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True), half_dofs], axis=-1)
-    )
+    try:
+        psi = digamma(
+            np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True), half_dofs], axis=-1)
+        )
+    except ValueError as exc:  # a concentration rho^k decays while its chi_j is 0 underflows
+        raise NotPositiveDefinite(f"alpha: {exc}") from exc
     e_logdet_p = p_factor.log_det() + n * np.log(0.5 * g) - psi[..., m_size + 1 :].sum(axis=-1)
     # tr(G_j E{P^{-1}}) = g_j <fpf, E{P^{-1}}> + <g_j Qbar_j, E{P^{-1}}>. The
     # -(n + 1) E{log|P|} / 2 of each IW log density is common to all
@@ -356,15 +352,15 @@ def etvbf_step(
 ) -> tuple[FilterState, StepDiagnostics]:
     """One full filter step of a single state: prediction, then sweeps until it stops.
 
-    A gamma not shaped like the state's rows raises ValueError, and so
-    does a stacked state: run_trials, or predict and sweep, step stacks.
+    A stacked state raises ValueError: run_trials, or predict and sweep,
+    step stacks.
     """
-    sent = sent_rows(outcome, state)
-    if sent.ndim:
+    if state.x_hat.ndim != 1:
         raise ValueError(
-            f"etvbf_step steps a single state, not a stack of {sent.size}; "
+            f"etvbf_step steps a single state, not a stack of {state.x_hat.shape[:-1]}; "
             "step stacks with run_trials, or with predict and sweep"
         )
+    sent = outcome.gamma == 1
     it = predict(state, F, cfg)
     e = innovation(sent, outcome.measurement, np.matvec(H, it.x_pred))
     while not sweep(it, sent, e, H, cfg):

@@ -8,10 +8,12 @@ filter-local stream. All four filters run through one engine, this
 module's _run_rows loop, the one place where rows leave and join a round;
 a filter id only selects how a row's step begins and advances (predict,
 then one sweep a round, or clset_kf_step with nominal or true
-covariances) and whether the sensor trigger or an always-transmit outcome
-decides each step. Each trial advances in time on its own, so its record
-is the same whichever trials it runs with, and a trial caught in a failed
-round can be run again alone from its start.
+covariances) and whether the sensor trigger decides each step or every
+row sends. A round's decisions are the pair (sent, e) that sweep and
+clset_kf_step take: which rows sent, and the innovation, 0 where silent.
+Each trial advances in time on its own, so its record is the same
+whichever trials it runs with, and a trial caught in a failed round can
+be run again alone from its start.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .filter import (
 )
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from .numerics import NotPositiveDefinite, Singular, is_integer
-from .trigger import TriggerConfig, TriggerOutcome, sensor_decide
+from .trigger import TriggerConfig, trigger_probability
 
 __all__ = [
     "FILTER_IDS",
@@ -192,12 +194,12 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
     The variational filters begin a step with predict and advance one sweep
     a round. Both Kalman baselines take their whole step, clset_kf_step, in
     begin, with the nominal covariances for clset-kf and the true Q_k, R_k
-    for the oracle. Untriggered filters get an always-transmit outcome.
+    for the oracle. Untriggered filters send every row.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
         return (
             initial_state(x0_hat, p0, fcfg),
-            lambda state, kr, f, h, outcome: predict(state, f, fcfg),
+            lambda state, kr, f, h, sent, e: predict(state, f, fcfg),
             lambda it, inputs: sweep(it, *inputs[:3], fcfg),
             lambda it: (FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha), it.sweeps),
             filter_id == FILTER_ETVBF,
@@ -208,9 +210,9 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
     covs = (lambda k: q_bar, lambda k: fcfg.r0) if nominal else (model.trueQ, model.trueR)
     q_tab, r_tab = (np.array([cov(k) for k in range(1, cfg.n_step + 1)]) for cov in covs)
 
-    def begin(state, kr, f, h, outcome):
+    def begin(state, kr, f, h, sent, e):
         q, r = q_tab.take(kr, axis=0), r_tab.take(kr, axis=0)
-        return clset_kf_step(state, f, h, q, r, fcfg.trigger.Y, outcome)
+        return clset_kf_step(state, f, h, q, r, fcfg.trigger.Y, sent, e)
 
     return kf_state, begin, lambda work, inputs: True, lambda work: (work, 0), nominal
 
@@ -270,16 +272,15 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     flat = estimate.reshape(-1, model.n), gamma.reshape(-1), iterations.reshape(-1)
 
     def enter(rows, kr, prev):
-        """Start step kr + 1 of rows from prev, with the trigger's outcome for it."""
+        """Start step kr + 1 of rows from prev, with the trigger's decisions for it."""
         f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
         z_k, z_pred = measurements[rows, kr], np.matvec(h, np.matvec(f, prev.x_hat))
-        if triggered:
-            outcome = sensor_decide(z_k, z_pred, fcfg.trigger, zeta[rows, kr])
+        if triggered:  # sensor_decide's rule, row by row: silent when zeta <= exp(-e'Ye/2)
+            sent = zeta[rows, kr] > trigger_probability(z_k - z_pred, fcfg.trigger)
         else:
-            outcome = TriggerOutcome(gamma=np.ones(rows.size, dtype=int), measurement=z_k)
-        sent = outcome.gamma == 1
-        inputs = (sent, innovation(sent, outcome.measurement, z_pred), h, kr, rows)
-        return begin(prev, kr, f, h, outcome), inputs
+            sent = np.ones(rows.size, dtype=bool)
+        e = innovation(sent, z_k, z_pred)
+        return begin(prev, kr, f, h, sent, e), (sent, e, h, kr, rows)
 
     def retire(work, inputs):
         """Record the rows that finished a step at their own k, and start their next step."""

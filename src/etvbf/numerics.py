@@ -83,19 +83,21 @@ _DIGAMMA_SERIES = np.array(
 )
 _DIGAMMA_POWERS = np.arange(1.0, 8.0)
 _DIGAMMA_STEPS = np.arange(8.0)
+_TINY = np.finfo(float).tiny  # the smallest normal float; a subnormal x's 1/x can overflow
 
 
 def digamma(x):
-    """Digamma function psi(x), elementwise for x > 0.
+    """Digamma function psi(x), elementwise for x at least the smallest normal float.
 
     Uses the recurrence psi(x+1) = psi(x) + 1/x to shift every argument by
     8, then the asymptotic series in 1/x, which no finite x overflows;
-    absolute error is below 1e-12 over [1e-3, 1e6] and for large x. Returns
-    a float for a scalar argument.
+    absolute error is below 1e-12 over [1e-3, 1e6] and for large x. A
+    subnormal or smaller x raises ValueError, as its 1/x can overflow.
+    Returns a float for a scalar argument.
     """
     x = np.asarray(x, dtype=float)
-    if not x.min() > 0.0:
-        raise ValueError(f"digamma requires x > 0, got a minimum of {x.min()}")
+    if not x.min() >= _TINY:
+        raise ValueError(f"digamma requires x > 0 and normal, got a minimum of {x.min()}")
     recurrence = (1.0 / (x[..., None] + _DIGAMMA_STEPS)).sum(axis=-1)
     x = x + _DIGAMMA_STEPS.size
     inv = 1.0 / x

@@ -3,8 +3,10 @@
 The sensor compares its measurement against the estimator-fed-back
 prediction and keeps the measurement to itself with probability
 exp(-0.5 e^T Y e), so small innovations are transmitted rarely. Each
-decision takes one uniform draw: a single sensor takes it from its own
-stream, and a stack of B sensors is handed its B draws.
+decision is one sensor's and takes one uniform draw from its own stream.
+A stack of sensors is decided row by row with trigger_probability, and
+carries its decisions as which rows sent and their innovations, not as
+outcomes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .numerics import require_spd
 
 __all__ = ["TriggerConfig", "TriggerOutcome", "trigger_probability", "sensor_decide"]
 
-# The scalar forms stay: one sensor_decide costs ~5 us, a one-row stack ~70 us (stacked checks).
+# Outcomes are one sensor's (~5 us a sensor_decide call); a stack is decided row by
+# row with trigger_probability's per-row form and carried as (sent, e), never as outcomes.
 
 
 @dataclass(frozen=True)
@@ -38,35 +41,19 @@ class TriggerConfig:
 
 @dataclass(frozen=True)
 class TriggerOutcome:
-    """Per-step transmit decision; the measurement is attached iff gamma = 1.
+    """One sensor's per-step decision; the measurement is attached iff gamma = 1."""
 
-    For a stack of B trials, gamma holds one 0/1 per row and measurement
-    is (B, m) with NaN on every silent row, so that an untransmitted
-    measurement cannot be used unnoticed.
-    """
-
-    gamma: int | np.ndarray
+    gamma: int
     measurement: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.gamma, np.ndarray):
-            if self.gamma not in (0, 1):
-                raise ValueError("gamma must be 0 or 1")
-            if (self.measurement is None) != (self.gamma == 0):
-                raise ValueError("measurement must be present exactly when gamma = 1")
-            return
-        gamma = self.gamma
-        if gamma.ndim != 1 or not ((gamma == 0) | (gamma == 1)).all():
-            raise ValueError("gamma must be 0 or 1 in every row of a one-axis stack")
-        z = self.measurement
-        if z is None or np.ndim(z) != 2 or len(z) != gamma.size:
-            raise ValueError("a stacked outcome needs one measurement row per gamma")
-        sent = gamma == 1
-        if not (np.isfinite(z[sent]).all() and np.isnan(z[~sent]).all()):
-            raise ValueError("measurement rows must be finite where gamma = 1 and NaN where 0")
+        if isinstance(self.gamma, np.ndarray) or self.gamma not in (0, 1):
+            raise ValueError(f"gamma must be one sensor's 0 or 1, got {self.gamma!r}")
+        if (self.measurement is None) != (self.gamma == 0):
+            raise ValueError("measurement must be present exactly when gamma = 1")
 
 
-# Every silent decision of a single sensor is this one immutable outcome.
+# Every silent decision is this one immutable outcome.
 _SILENT = TriggerOutcome(gamma=0)
 
 
@@ -81,21 +68,15 @@ def trigger_probability(e: np.ndarray, cfg: TriggerConfig):
 
 
 def sensor_decide(
-    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, zeta: SeededRng | np.ndarray
+    z: np.ndarray, z_pred: np.ndarray, cfg: TriggerConfig, rng: SeededRng
 ) -> TriggerOutcome:
-    """Withhold the measurement when a uniform draw zeta <= exp(-0.5 e^T Y e).
+    """Withhold the measurement z when a uniform draw from rng is <= exp(-0.5 e^T Y e).
 
-    For a single measurement, zeta is the stream to draw it from. For a
-    stack of B measurements, zeta is the B draws, one per row; any other
-    number of draws raises ValueError.
+    One sensor decides: a stack of measurements raises ValueError.
     """
     z = np.asarray(z, dtype=float)
-    phi = trigger_probability(z - z_pred, cfg)
-    if z.ndim == 1:
-        if zeta.uniform() <= phi:
-            return _SILENT
-        return TriggerOutcome(gamma=1, measurement=z)
-    if len(zeta) != len(z):
-        raise ValueError(f"{len(z)} measurement rows need as many trigger draws, got {len(zeta)}")
-    gamma = (zeta > phi).astype(int)
-    return TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
+    if z.ndim != 1:
+        raise ValueError(f"sensor_decide decides one measurement, not an array of {z.shape}")
+    if rng.uniform() <= trigger_probability(z - z_pred, cfg):
+        return _SILENT
+    return TriggerOutcome(gamma=1, measurement=z)

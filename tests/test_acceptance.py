@@ -75,11 +75,11 @@ def test_01_degenerate_config_matches_kalman_oracle():
         adaptive = initial_state(x0_hat, p0, cfg)
         plain = KfState(x_hat=x0_hat, P=p0)
         for k in range(1, 51):
-            transmitted = TriggerOutcome(gamma=1, measurement=traj.measurements[k - 1])
-            adaptive, _ = etvbf_step(adaptive, model.F(k), model.H(k), transmitted, cfg)
-            plain = clset_kf_step(
-                plain, model.F(k), model.H(k), q_fixed, r_fixed, cfg.trigger.Y, transmitted
-            )
+            z, f, h = traj.measurements[k - 1], model.F(k), model.H(k)
+            transmitted = TriggerOutcome(gamma=1, measurement=z)
+            adaptive, _ = etvbf_step(adaptive, f, h, transmitted, cfg)
+            e = z - np.matvec(h, np.matvec(f, plain.x_hat))
+            plain = clset_kf_step(plain, f, h, q_fixed, r_fixed, cfg.trigger.Y, True, e)
             rel = float(
                 np.linalg.norm(adaptive.x_hat - plain.x_hat) / np.linalg.norm(plain.x_hat)
             )

@@ -3,15 +3,21 @@ import pytest
 
 from etvbf.baselines import KfState, clset_kf_step
 from etvbf.distributions import SeededRng
+from etvbf.filter import innovation
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
-from etvbf.trigger import TriggerOutcome
 from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
+
+
+def decided_step(state, f, h, q, r, y, sent, z=None):
+    """clset_kf_step given which rows sent and their z, with e = z - H F x_hat where sent."""
+    e = innovation(np.asarray(sent), z, np.matvec(h, np.matvec(f, state.x_hat)))
+    return clset_kf_step(state, f, h, q, r, y, sent, e)
 
 
 def transmitted_step(state, f, h, q, r, z):
     """clset_kf_step with the measurement delivered, as the oracle Kalman filter runs it."""
-    return clset_kf_step(state, f, h, q, r, np.eye(len(z)), TriggerOutcome(gamma=1, measurement=z))
+    return decided_step(state, f, h, q, r, np.eye(len(z)), True, z)
 
 
 class TestOracleKalman:
@@ -76,50 +82,42 @@ class TestClsetKf:
         model = build_cv_scenario(1.0, 500)
         f, h = model.F(3), model.H(3)
         q_bar, r_bar, y = 4.0 * np.eye(4), 150.0 * np.eye(2), 0.015 * np.eye(2)
-        gamma = np.array(gamma)
+        sent = np.array(gamma) == 1
         x_hat = rng.standard_normal((6, 4))
         P = np.stack([random_spd(rng, 4) for _ in range(6)])
-        z = np.where(gamma[:, None] == 1, rng.standard_normal((6, 2)), np.nan)
-        stacked = clset_kf_step(
-            KfState(x_hat, P), f, h, q_bar, r_bar, y, TriggerOutcome(gamma=gamma, measurement=z)
-        )
+        z = rng.standard_normal((6, 2))
+        stacked = decided_step(KfState(x_hat, P), f, h, q_bar, r_bar, y, sent, z)
         for i in range(6):
-            row = TriggerOutcome(gamma=1, measurement=z[i]) if gamma[i] else TriggerOutcome(0)
-            alone = clset_kf_step(KfState(x_hat[i], P[i]), f, h, q_bar, r_bar, y, row)
+            alone = decided_step(KfState(x_hat[i], P[i]), f, h, q_bar, r_bar, y, sent[i], z[i])
             assert np.array_equal(stacked.x_hat[i], alone.x_hat)
             assert np.array_equal(stacked.P[i], alone.P)
 
     def test_stack_step_leaves_its_input_arrays_unchanged(self):
-        """A mixed stack's step leaves the state and outcome as given: the updates rebind
+        """A mixed stack's step leaves the state, sent and e as given: the updates rebind
         and never write."""
         rng = np.random.default_rng(7)
         model = build_cv_scenario(1.0, 500)
-        gamma = np.array([1, 0, 1, 1])
-        state = KfState(rng.standard_normal((4, 4)), np.stack([random_spd(rng, 4) for _ in gamma]))
-        z = np.where(gamma[:, None] == 1, rng.standard_normal((4, 2)), np.nan)
-        outcome = TriggerOutcome(gamma=gamma, measurement=z)
-        before = field_bytes(state, outcome)
+        sent = np.array([True, False, True, True])
+        state = KfState(rng.standard_normal((4, 4)), np.stack([random_spd(rng, 4) for _ in sent]))
+        e = np.where(sent[:, None], rng.standard_normal((4, 2)), 0.0)
+        before = field_bytes(state), sent.tobytes(), e.tobytes()
         clset_kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), 150.0 * np.eye(2),
-                      0.015 * np.eye(2), outcome)
-        assert field_bytes(state, outcome) == before
+                      0.015 * np.eye(2), sent, e)
+        assert (field_bytes(state), sent.tobytes(), e.tobytes()) == before
 
     @pytest.mark.parametrize(
-        "rows, outcome",
-        [
-            ((3,), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
-            ((), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
-        ],
+        "rows, sent",
+        [((3,), np.array([True])), ((), np.array([True]))],
         ids=["stack-of-3", "single-state"],
     )
-    def test_outcome_rows_must_match_state_rows(self, rows, outcome):
-        """An outcome with other rows than the state is rejected, not broadcast."""
+    def test_outcome_rows_must_match_state_rows(self, rows, sent):
+        """A sent with other rows than the state is rejected, not broadcast."""
         model = build_cv_scenario(1.0, 500)
         x0, p0, _ = scenario_defaults()
         state = KfState(np.broadcast_to(x0, rows + x0.shape), np.broadcast_to(p0, rows + p0.shape))
-        with pytest.raises(ValueError, match="gamma"):
-            clset_kf_step(
-                state, model.F(1), model.H(1), 4.0 * np.eye(4), np.eye(2), np.eye(2), outcome
-            )
+        with pytest.raises(ValueError, match="sent"):
+            clset_kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), np.eye(2), np.eye(2),
+                          sent, np.ones((1, 2)))
 
     def test_silent_scalar_reference(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))
@@ -130,7 +128,8 @@ class TestClsetKf:
             np.zeros((1, 1)),
             np.eye(1),
             np.eye(1),
-            TriggerOutcome(gamma=0),
+            False,
+            np.zeros(1),
         )
         assert out.x_hat[0] == 0.0
         assert out.P[0, 0] == pytest.approx(2.0 / 3.0)
@@ -144,7 +143,8 @@ class TestClsetKf:
             np.zeros((1, 1)),
             np.eye(1),
             1e-12 * np.eye(1),
-            TriggerOutcome(gamma=0),
+            False,
+            np.zeros(1),
         )
         assert out.P[0, 0] == pytest.approx(1.0, abs=1e-9)
 
@@ -164,7 +164,7 @@ class TestClsetKf:
                 y = np.outer(v, v)
             else:
                 y = random_spd(rng, m, scale=float(rng.uniform(1e-3, 1.0)))
-            out = clset_kf_step(state, f, h, q_bar, r_bar, y, TriggerOutcome(gamma=0))
+            out = clset_kf_step(state, f, h, q_bar, r_bar, y, False, np.zeros(m))
             p_pred = f @ state.P @ f.T + q_bar
             expected = dense_theta(p_pred, r_bar, h, y)[:n, :n]
             assert np.allclose(out.P, expected, rtol=1e-9, atol=1e-9)
@@ -179,10 +179,8 @@ class TestClsetKf:
         q_bar, r_bar = 4.0 * np.eye(4), 150.0 * np.eye(2)
         y = 0.015 * np.eye(2)
         for k in range(1, steps + 1):
-            if rng.random() < 0.5:
-                outcome = TriggerOutcome(gamma=1, measurement=traj.measurements[k - 1])
-            else:
-                outcome = TriggerOutcome(gamma=0)
-            state = clset_kf_step(state, model.F(k), model.H(k), q_bar, r_bar, y, outcome)
+            sent = rng.random() < 0.5
+            state = decided_step(state, model.F(k), model.H(k), q_bar, r_bar, y, sent,
+                                 traj.measurements[k - 1])
             spd_factor(state.P)
 

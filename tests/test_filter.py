@@ -237,11 +237,12 @@ class TestPerRowMatrices:
                 measurement_update(*args, sent, h, cfg.trigger.Y),
                 measurement_update(*args, sent, per_row[1], cfg.trigger.Y),
             )
-        outcome = TriggerOutcome(gamma=gamma, measurement=np.where(gamma[:, None] == 1, z, np.nan))
+        sent = gamma == 1
+        e = innovation(sent, z, np.matvec(h, np.matvec(f, stack.x_hat)))
         kf = KfState(x_hat=stack.x_hat, P=stack.P)
         same(
-            vars(clset_kf_step(kf, f, h, q, r, cfg.trigger.Y, outcome)).values(),
-            vars(clset_kf_step(kf, *per_row, cfg.trigger.Y, outcome)).values(),
+            vars(clset_kf_step(kf, f, h, q, r, cfg.trigger.Y, sent, e)).values(),
+            vars(clset_kf_step(kf, *per_row, cfg.trigger.Y, sent, e)).values(),
         )
 
 
@@ -690,19 +691,21 @@ class TestStepOrchestration:
     @pytest.mark.parametrize(
         "x0_rows, outcome",
         [
-            ((), TriggerOutcome(gamma=np.array([1]), measurement=np.ones((1, 2)))),
-            ((3,), TriggerOutcome(gamma=np.array([1, 1]), measurement=np.ones((2, 2)))),
-            ((2,), TriggerOutcome(gamma=1, measurement=np.ones(2))),
+            ((), dict(gamma=np.array([1]), measurement=np.ones((1, 2)))),
+            ((3,), dict(gamma=np.array([1, 1]), measurement=np.ones((2, 2)))),
+            ((2,), dict(gamma=1, measurement=np.ones(2))),
         ],
     )
     def test_outcome_rows_must_match_state_rows(self, x0_rows, outcome):
-        """An outcome with other rows than the state is rejected, not broadcast."""
+        """An outcome is one sensor's, so one with a gamma per row is rejected when built,
+        and one outcome for a stacked state is rejected, not broadcast."""
         cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0))
         model = build_cv_scenario(1.0, 500)
         x0, p0, _ = scenario_defaults()
         state = initial_state(np.broadcast_to(x0, x0_rows + x0.shape), p0, cfg)
-        with pytest.raises(ValueError, match="gamma"):
-            etvbf_step(state, model.F(1), model.H(1), outcome, cfg)
+        stacked = isinstance(outcome["gamma"], np.ndarray)
+        with pytest.raises(ValueError, match="one sensor's" if stacked else "single state"):
+            etvbf_step(state, model.F(1), model.H(1), TriggerOutcome(**outcome), cfg)
 
     @pytest.mark.parametrize("gamma", [1, 0], ids=["sent", "silent"])
     def test_step_leaves_its_input_arrays_unchanged(self, gamma):
@@ -725,13 +728,13 @@ class TestStepOrchestration:
         assert field_bytes(state, outcome) == before
 
     def test_stacked_state_rejected(self):
-        """etvbf_step steps one state; a stack, even with an outcome row per state row, is
-        pointed to run_trials, or predict and sweep."""
+        """etvbf_step steps one state; a stack is pointed to run_trials, or predict and
+        sweep."""
         cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0))
         model = build_cv_scenario(1.0, 500)
         x0, p0, _ = scenario_defaults()
         state = initial_state(np.broadcast_to(x0, (2, 4)), p0, cfg)
-        outcome = TriggerOutcome(gamma=np.array([1, 1]), measurement=np.ones((2, 2)))
+        outcome = TriggerOutcome(gamma=1, measurement=np.ones(2))
         with pytest.raises(ValueError, match="single state.*run_trials.*predict and sweep"):
             etvbf_step(state, model.F(1), model.H(1), outcome, cfg)
 

@@ -2,13 +2,15 @@ import dataclasses
 import json
 import math
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
 
 from etvbf import harness
+from etvbf.baselines import KfState, clset_kf_step
 from etvbf.cli import main as cli_main
-from etvbf.filter import initial_state
+from etvbf.filter import etvbf_step, initial_state, innovation
 from etvbf.harness import (
     FILTER_IDS,
     ExperimentConfig,
@@ -23,6 +25,7 @@ from etvbf.harness import (
 from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import NotPositiveDefinite
+from etvbf.trigger import sensor_decide
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
 GOLDEN_SINGLE_CSV = pathlib.Path(__file__).parent / "data" / "sweep_golden_single.csv"
@@ -53,6 +56,45 @@ class TestRunTrial:
         truths = [run_trial(cfg, fid, 3).truth for fid in ("etvbf", "vbf", "clset-kf", "oracle-kf")]
         for other in truths[1:]:
             assert np.array_equal(truths[0], other)
+
+    @pytest.mark.parametrize("filter_id", ["etvbf", "clset-kf"])
+    def test_record_is_the_single_state_library_loop(self, filter_id):
+        """run_trial's truth, gamma, iterations and estimates are bitwise a hand loop of
+        one state: x0_hat and truth from the (base_seed, trial) stream, one sensor_decide
+        a step from the (base_seed, trial, crc32(filter)) stream against H F x_hat, and
+        etvbf_step or clset_kf_step."""
+        cfg = ExperimentConfig(y_scale=0.015)
+        model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
+        fcfg = build_filter_config(cfg)
+        x0, p0, _ = scenario_defaults()
+        q_bar = cfg.clset_q_scale * np.eye(model.n)
+        for t in range(4):
+            rng = SeededRng((cfg.base_seed, t))
+            x0_hat = sample_gaussian(rng, x0, p0)
+            traj = simulate_truth(model, x0, cfg.n_step, rng)
+            trig = SeededRng((cfg.base_seed, t, zlib.crc32(filter_id.encode("utf-8"))))
+            state = initial_state(x0_hat, p0, fcfg) if filter_id == "etvbf" else KfState(x0_hat, p0)
+            estimate, gamma, iterations = [], [], []
+            for k in range(1, cfg.n_step + 1):
+                f, h = model.F(k), model.H(k)
+                z_pred = np.matvec(h, np.matvec(f, state.x_hat))
+                outcome = sensor_decide(traj.measurements[k - 1], z_pred, fcfg.trigger, trig)
+                if filter_id == "etvbf":
+                    state, diag = etvbf_step(state, f, h, outcome, fcfg)
+                    iterations.append(diag.iterations)
+                else:
+                    sent = outcome.gamma == 1
+                    e = innovation(sent, outcome.measurement, z_pred)
+                    state = clset_kf_step(state, f, h, q_bar, fcfg.r0, fcfg.trigger.Y, sent, e)
+                    iterations.append(0)
+                estimate.append(state.x_hat)
+                gamma.append(outcome.gamma)
+            rec = run_trial(cfg, filter_id, t)
+            assert not rec.failed
+            assert rec.truth.tobytes() == traj.states.tobytes()
+            assert rec.gamma.tolist() == gamma
+            assert rec.iterations.tolist() == iterations
+            assert rec.estimate.tobytes() == np.array(estimate).tobytes()
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValueError):
@@ -484,6 +526,7 @@ class TestConfig:
             {"nominal_q_scales": "1239"},
             {"filters": "etvbf"},
             {"sweep_param": "r", "sweep_grid": "12"},
+            {"tol": math.inf},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
@@ -492,7 +535,8 @@ class TestConfig:
             "alpha0-nan", "sample-time-nan", "cosine-period-nan", "n-mc-fraction",
             "n-step-fraction", "max-iterations-fraction", "cosine-period-fraction",
             "seed-fraction", "filters-empty", "sample-time-inf", "dof-g-inf", "s0-inf",
-            "alpha0-inf", "dof-g-1e308", "alpha0-1e308", "clset-q-inf", "q-scales-string", "filters-string", "grid-string",
+            "alpha0-inf", "dof-g-1e308", "alpha0-1e308", "clset-q-inf", "q-scales-string",
+            "filters-string", "grid-string", "tol-inf",
         ],
     )
     def test_rejected_when_built(self, bad):
@@ -521,6 +565,18 @@ class TestConfig:
         assert records[1].fail_reason.startswith("p_tilde: ")
         assert "non-finite" in records[1].fail_reason
         assert_same_record(records[1], alone)
+
+    @pytest.mark.parametrize("rho", [1e-5, 1e-20])
+    def test_underflowing_concentration_is_a_recorded_breakdown(self, rho):
+        """A tiny rho decays the Dirichlet concentration rho^k of a component whose weight
+        is 0 until it underflows; at 1e-20 it passes through subnormals, whose 1/x would
+        overflow in digamma. run_trials records every trial failed at its own step,
+        naming alpha, and neither raises nor warns (the suite turns a warning into an
+        error)."""
+        cfg = ExperimentConfig(n_step=80, rho=rho)
+        records = run_trials(cfg, "etvbf", range(5))
+        assert all(r.failed and r.fail_reason.startswith("alpha: ") for r in records)
+        assert_same_record(records[2], run_trial(cfg, "etvbf", 2))
 
     @pytest.mark.parametrize(
         "bad",

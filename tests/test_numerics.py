@@ -49,10 +49,17 @@ class TestDigamma:
     def test_recurrence(self, x):
         assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-10)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, 5e-324, 1e-310])
     def test_domain_error(self, x):
+        """x must be positive and normal: a subnormal x's 1/x would overflow."""
         with pytest.raises(ValueError):
             digamma(x)
+
+    def test_smallest_normal_runs_clean(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = digamma(np.finfo(float).tiny)
+        assert value == pytest.approx(-1.0 / np.finfo(float).tiny, rel=1e-12)
 
     def test_elementwise_on_arrays_against_scipy(self):
         x = np.geomspace(1e-3, 1e6, 60).reshape(3, 4, 5)

@@ -30,6 +30,14 @@ class TestTriggerProbability:
                 trigger_probability(-e, cfg), rel=1e-15
             )
 
+    def test_each_row_is_its_own_innovation_alone(self):
+        """On a stack, row i's probability is bitwise the one its innovation gets alone."""
+        rng = np.random.default_rng(8)
+        cfg = TriggerConfig(Y=random_spd(rng, 2))
+        e = 3.0 * rng.standard_normal((6, 2))
+        stacked = trigger_probability(e, cfg)
+        assert stacked.tolist() == [trigger_probability(row, cfg) for row in e]
+
     def test_loewner_monotonicity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -50,6 +58,13 @@ class TestSensorDecide:
             outcome = sensor_decide(z, z, cfg, rng)
             assert outcome.gamma == 0
             assert outcome.measurement is None
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_rejects_stacked_measurement(self, rows):
+        """One sensor decides: a stack of measurements, even of one row, is rejected."""
+        with pytest.raises(ValueError, match="one measurement"):
+            sensor_decide(np.ones((rows, 2)), np.zeros((rows, 2)), TriggerConfig(Y=np.eye(2)),
+                          SeededRng(0))
 
     def test_transmission_carries_measurement(self):
         cfg = TriggerConfig(Y=1e6 * np.eye(2))
@@ -96,11 +111,6 @@ class TestTriggerOutcome:
         with pytest.raises(ValueError):
             TriggerOutcome(gamma=0, measurement=np.zeros(2))
 
-    def test_stacked_outcome_accepts_nan_on_silent_rows(self):
-        z = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])
-        outcome = TriggerOutcome(gamma=np.array([1, 0, 1]), measurement=z)
-        assert outcome.gamma.shape == (3,)
-
     @pytest.mark.parametrize(
         "gamma,z",
         [
@@ -109,41 +119,19 @@ class TestTriggerOutcome:
             ([1, 0, 1], [[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]]),
             ([1, 0, 1], [[1.0, np.nan], [np.nan, np.nan], [3.0, 4.0]]),
             ([1, 0], [[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]]),
+            ([1, 0, 1], [[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]]),
+            ([1], [[1.0, 2.0]]),
+            (1, [1.0, 2.0]),
         ],
-        ids=["gamma-2", "finite-silent-row", "half-finite-silent-row", "nan-sent-row", "row-count"],
+        ids=["gamma-2", "finite-silent-row", "half-finite-silent-row", "nan-sent-row", "row-count",
+             "well-formed-stack", "one-row", "zero-dim"],
     )
     def test_stacked_outcome_rejects_bad_rows(self, gamma, z):
-        with pytest.raises(ValueError):
+        """An outcome is one sensor's, so an ndarray gamma is rejected, even one that
+        compares equal to 0 or 1: a stacked outcome, with or without the bad rows it was
+        once checked for. A stack carries its decisions as (sent, e)."""
+        with pytest.raises(ValueError, match="one sensor's 0 or 1"):
             TriggerOutcome(gamma=np.array(gamma), measurement=np.array(z))
-
-
-class TestStackedDecide:
-    def test_rows_match_single_decisions_from_own_streams(self):
-        """Row i's decision, given its stream's next uniform as its draw, is the one
-        that stream makes alone."""
-        cfg = TriggerConfig(Y=0.3 * np.eye(2))
-        rng = np.random.default_rng(8)
-        z = 3.0 * rng.standard_normal((6, 2))
-        z_pred = np.zeros((6, 2))
-        draws = np.array([SeededRng((4, i)).uniform() for i in range(6)])
-        stacked = sensor_decide(z, z_pred, cfg, draws)
-        assert set(stacked.gamma.tolist()) == {0, 1}
-        for i in range(6):
-            single = sensor_decide(z[i], z_pred[i], cfg, SeededRng((4, i)))
-            assert stacked.gamma[i] == single.gamma
-            assert trigger_probability(z[i], cfg) == trigger_probability(z[i : i + 1], cfg)[0]
-            if single.gamma:
-                assert np.array_equal(stacked.measurement[i], single.measurement)
-            else:
-                assert np.isnan(stacked.measurement[i]).all()
-
-    @pytest.mark.parametrize("draws", [1, 5])
-    def test_draw_count_must_match_rows(self, draws):
-        """Three rows with one draw would share it; with five the draws would not fit."""
-        with pytest.raises(ValueError, match=f"3 measurement rows .* trigger draws, got {draws}"):
-            sensor_decide(
-                np.ones((3, 2)), np.zeros((3, 2)), TriggerConfig(Y=np.eye(2)), np.full(draws, 0.5)
-            )
 
 
 class TestTriggerConfig:
