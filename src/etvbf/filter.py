@@ -25,6 +25,7 @@ with predict and sweep in its own row loop, where rows leave and join.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ from .numerics import (
     Singular,
     digamma,
     is_integer,
-    log_multivariate_gamma,
     require_spd,
     spd_factor,
     symmetrize,
@@ -61,53 +61,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Tuning parameters: nominal covariance bank, prior dofs, and loop control."""
+    """Tuning parameters: nominal covariance bank, one prior for the bank, and loop control."""
 
     nominal_q: np.ndarray  # (M, n, n) nominal process noise covariances
-    dof_g: np.ndarray  # M inverse-Wishart dofs for the predicted covariance
+    dof_g: float  # the inverse-Wishart dof of every component's predicted covariance
     r0: np.ndarray  # nominal measurement noise covariance
     s0: float  # initial measurement-noise dof
-    alpha0: np.ndarray  # M initial Dirichlet concentrations
+    alpha0: float  # the initial Dirichlet concentration of every component
     rho: float  # forgetting factor in (0, 1]
     trigger: TriggerConfig
     max_iterations: int = 50
     tol: float = 1e-6  # relative state-change threshold ending the sweep loop
-    log_norm_const: np.ndarray = field(init=False, repr=False)  # n g log2 / 2, log Gamma_n(g / 2)
-    scaled_q: np.ndarray = field(init=False, repr=False)  # (M, n, n) dof-scaled bank g_j Qbar_j
+    scaled_q: np.ndarray = field(init=False, repr=False)  # (M, n, n) dof-scaled bank dof_g Qbar_j
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
-        object.__setattr__(self, "dof_g", np.asarray(self.dof_g, dtype=float))
         object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
-        object.__setattr__(self, "alpha0", np.asarray(self.alpha0, dtype=float))
+        for name in ("dof_g", "alpha0"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be one real number for the bank, got {value!r}")
+            object.__setattr__(self, name, float(value))
         m_size, n = self.nominal_q.shape[:2]
-        dof_g, alpha0 = self.dof_g, self.alpha0
-        if dof_g.shape != (m_size,) or not np.all((n - 1 < dof_g) & (dof_g < math.inf)):
-            raise ValueError("dof_g must hold one finite dof above n - 1 per nominal covariance")
+        if not n - 1 < self.dof_g < math.inf:
+            raise ValueError("dof_g must be finite and above n - 1")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
         if not 0.0 < self.s0 < math.inf:
             raise ValueError("s0 must be positive and finite")
-        if alpha0.shape != (m_size,) or not np.all((0.0 < alpha0) & (alpha0 < math.inf)):
-            raise ValueError("alpha0 must hold one positive finite value per nominal covariance")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be positive and finite")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
-        with np.errstate(over="ignore"):  # a finite dof_g or alpha0 can still be too large
-            scaled_q, alpha_sum = dof_g[:, None, None] * self.nominal_q, alpha0.sum()
-            const = [0.5 * n * dof_g * math.log(2.0)]
-        try:
-            const.append([log_multivariate_gamma(n, 0.5 * g) for g in dof_g])
-        except OverflowError:
-            const.append([math.inf] * m_size)
-        if not (np.isfinite(const).all() and np.isfinite(scaled_q).all()):
-            raise ValueError("dof_g is too large: its log normalisers or scaled bank overflow")
-        if not math.isfinite(alpha_sum):
+        with np.errstate(over="ignore"):  # a finite dof_g can still be too large
+            scaled_q = self.dof_g * self.nominal_q
+        if not np.isfinite(scaled_q).all():
+            raise ValueError("dof_g is too large: its scaled bank dof_g * nominal_q overflows")
+        if not math.isfinite(m_size * self.alpha0):
             raise ValueError("alpha0 is too large: its Dirichlet sum overflows")
-        object.__setattr__(self, "log_norm_const", np.array(const))
         object.__setattr__(self, "scaled_q", scaled_q)
 
 
@@ -129,12 +124,15 @@ class IterationState:
     predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
     alpha_prior); the updates rebind the iterates and never write into any
     array, so only the harness's row loop writes, into the arrays of its
-    latest sweep. A sweep derives the dofs s_prior + 1 and g = chi . dof_g + 1.
+    latest sweep. A sweep derives the dofs s_prior + 1 and dof_g + 1.
     """
 
     x_pred: np.ndarray
-    fpf: np.ndarray  # F P F^T: component j's IW scale is G_j = g_j (fpf + Qbar_j)
-    log_norm_j: np.ndarray  # g_j log|G_j|/2 - n g_j log2/2 - log Gamma_n(g_j/2)
+    fpf: np.ndarray  # F P F^T: component j's IW scale is G_j = dof_g (fpf + Qbar_j)
+    # dof_g log|fpf + Qbar_j| / 2: the part of component j's IW log normaliser,
+    # dof_g log|G_j| / 2 - n dof_g log 2 / 2 - log Gamma_n(dof_g / 2), that is not
+    # the same for every component (see update_mixture)
+    log_norm_j: np.ndarray
     s_prior: np.ndarray
     S_prior: np.ndarray
     alpha_prior: np.ndarray
@@ -143,7 +141,7 @@ class IterationState:
     S: np.ndarray
     chi: np.ndarray  # mixture weights over the nominal bank, summing to one
     alpha: np.ndarray
-    p_tilde: np.ndarray  # G / g, the working predicted covariance
+    p_tilde: np.ndarray  # the working predicted covariance: fpf + sum_j chi_j Qbar_j at sweep zero
     r_tilde: np.ndarray  # S / s, the working measurement covariance; s = s_prior + 1 once swept
     sweeps: np.ndarray  # sweeps run: 0 from predict, one count per row of a stack
 
@@ -179,7 +177,7 @@ def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> Filt
         P=np.broadcast_to(p0, rows + p0.shape).copy(),
         s=np.full(rows, cfg.s0),
         S=np.broadcast_to(cfg.s0 * cfg.r0, rows + cfg.r0.shape).copy(),
-        alpha=np.broadcast_to(cfg.alpha0, rows + cfg.alpha0.shape).copy(),
+        alpha=np.full(rows + cfg.nominal_q.shape[:1], cfg.alpha0),
     )
 
 
@@ -197,23 +195,23 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     """Sweep zero of a step: the step's priors, and iterates that start from them.
 
     The state is propagated, the covariance bank built and old dofs
-    forgotten; the bank starts weighted by the Dirichlet mean of its weights.
+    forgotten; the bank starts weighted by the Dirichlet mean of its weights,
+    so p_tilde starts at F P F^T + sum_j chi_j Qbar_j. Forgetting scales the
+    dof, scale and concentrations by rho: s_prior = rho s, not the
+    rho (s - m - 1) + m + 1 of Sarkka and Nummenmaa (IEEE TAC 2009).
     """
     fpf = symmetrize(F @ prev.P @ F.mT)
-    g_j = cfg.dof_g[:, None, None] * (fpf[..., None, :, :] + cfg.nominal_q)
-    log_det_j = spd_factor(g_j).log_det()
-    log_norm_j = 0.5 * cfg.dof_g * log_det_j - cfg.log_norm_const[0] - cfg.log_norm_const[1]
+    log_norm_j = 0.5 * cfg.dof_g * spd_factor(fpf[..., None, :, :] + cfg.nominal_q).log_det()
     x_pred = np.matvec(F, prev.x_hat)
     s_prior, S_prior, alpha_prior = cfg.rho * prev.s, cfg.rho * prev.S, cfg.rho * prev.alpha
     chi0 = alpha_prior / alpha_prior.sum(axis=-1, keepdims=True)
-    g0 = np.vecdot(chi0, cfg.dof_g)
-    big_g0 = (chi0[..., None, None] * g_j).sum(axis=-3)
-    p0 = big_g0 / _per_matrix(g0)
+    p0 = fpf + (chi0[..., None, None] * cfg.nominal_q).sum(axis=-3)
     return IterationState(
         x_pred=x_pred, fpf=fpf, log_norm_j=log_norm_j,
         s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
         x=x_pred, P=p0, S=S_prior, chi=chi0, alpha=alpha_prior,
-        p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior), sweeps=np.zeros_like(g0, dtype=int),
+        p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior),
+        sweeps=np.zeros(chi0.shape[:-1], dtype=int),
     )
 
 
@@ -259,14 +257,13 @@ def measurement_update(
 
 
 def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
-    """Refresh the predicted covariance's IW(chi . dof_g + 1, sum_j chi_j G_j + A) as p_tilde."""
+    """Refresh the predicted covariance's IW(dof_g + 1, sum_j chi_j G_j + A) as p_tilde."""
     shift = it.x - it.x_pred
     a_mat = it.P + shift[..., :, None] * shift[..., None, :]
-    dof = np.vecdot(it.chi, cfg.dof_g)
-    # sum_j chi_j G_j = (chi . dof_g) fpf + sum_j chi_j g_j Qbar_j, one row at a time:
+    # sum_j chi_j G_j = dof_g fpf + sum_j chi_j dof_g Qbar_j, one row at a time:
     # a 2-D @ over the rows would make a row's bits depend on its stack.
-    mixed_q = np.vecmat(it.chi, cfg.scaled_q.reshape(cfg.dof_g.size, -1)).reshape(a_mat.shape)
-    it.p_tilde = symmetrize(_per_matrix(dof) * it.fpf + mixed_q + a_mat) / _per_matrix(dof + 1.0)
+    mixed_q = np.vecmat(it.chi, cfg.scaled_q.reshape(it.chi.shape[-1], -1)).reshape(a_mat.shape)
+    it.p_tilde = symmetrize(cfg.dof_g * it.fpf + mixed_q + a_mat) / (cfg.dof_g + 1.0)
 
 
 def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
@@ -278,37 +275,32 @@ def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
 def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     """Reweight the nominal covariance bank and refresh the Dirichlet posterior.
 
-    The moments of IW(g, g p_tilde), g = chi . dof_g + 1 from the chi that
-    formed it, come from one Cholesky factor: E{P^{-1}} = p_tilde^{-1}, and
-    one digamma call serves
-    E{log|P|} = log|p_tilde| + n log(g/2) - sum_i psi((g + 1 - i)/2) and
-    E{log mu_j} = psi(alpha_j) - psi(sum alpha). A p_tilde that overflowed
-    (a huge dof_g can make it) or an alpha that underflowed (a tiny rho can
-    make it) is a breakdown: NotPositiveDefinite.
+    With d = dof_g, log w_j is E{log IW(P; d, G_j)} + E{log mu_j} under the
+    posteriors P ~ IW(d + 1, (d + 1) p_tilde) and mu ~ Dir(alpha), where
+    G_j = d (fpf + Qbar_j). The expected IW log density is
+    d log|G_j|/2 - tr(G_j E{P^{-1}})/2 - (d + n + 1) E{log|P|}/2
+    - n d log 2/2 - log Gamma_n(d/2), with E{P^{-1}} = p_tilde^{-1} and
+    tr(G_j E{P^{-1}}) = d <fpf, p_tilde^{-1}> + <d Qbar_j, p_tilde^{-1}>.
+    One d for the whole bank makes every term but log_norm_j and
+    <d Qbar_j, p_tilde^{-1}> the same for every component, n d log d / 2 of
+    d log|G_j| / 2 included, so they cancel when the weights are normalised:
+    log w_j = log_norm_j - <d Qbar_j, p_tilde^{-1}>/2 + psi(alpha_j) - psi(sum alpha).
+    A p_tilde that overflowed (a huge dof_g can make it) or an alpha that
+    underflowed (a tiny rho can make it) is a breakdown: NotPositiveDefinite.
     """
     try:
-        p_factor = spd_factor(it.p_tilde)
+        p_inv = spd_factor(it.p_tilde).inverse()
     except ValueError as exc:  # built symmetric, p_tilde fails these checks only by overflow
         raise NotPositiveDefinite(f"p_tilde: {exc}") from exc
-    n, m_size = it.p_tilde.shape[-1], it.alpha.shape[-1]
-    g = np.vecdot(it.chi, cfg.dof_g) + 1.0
-    e_p_inv = p_factor.inverse().reshape(it.chi.shape[:-1] + (n * n,))
-    half_dofs = 0.5 * np.asarray(g)[..., None] + np.arange(0.0, -0.5 * n, -0.5)
+    m_size = it.alpha.shape[-1]
     try:
-        psi = digamma(
-            np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True), half_dofs], axis=-1)
-        )
+        psi = digamma(np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True)], axis=-1))
     except ValueError as exc:  # a concentration rho^k decays while its chi_j is 0 underflows
         raise NotPositiveDefinite(f"alpha: {exc}") from exc
-    e_logdet_p = p_factor.log_det() + n * np.log(0.5 * g) - psi[..., m_size + 1 :].sum(axis=-1)
-    # tr(G_j E{P^{-1}}) = g_j <fpf, E{P^{-1}}> + <g_j Qbar_j, E{P^{-1}}>. The
-    # -(n + 1) E{log|P|} / 2 of each IW log density is common to all
-    # components and cancels in the normalisation, so it is left out.
+    p_inv = p_inv.reshape(it.chi.shape[:-1] + (-1,))
     log_w = (
         it.log_norm_j
-        - 0.5 * cfg.dof_g * np.vecdot(it.fpf.reshape(e_p_inv.shape), e_p_inv)[..., None]
-        - 0.5 * np.matvec(cfg.scaled_q.reshape(m_size, n * n), e_p_inv)
-        - 0.5 * cfg.dof_g * e_logdet_p[..., None]
+        - 0.5 * np.matvec(cfg.scaled_q.reshape(m_size, -1), p_inv)
         + (psi[..., :m_size] - psi[..., m_size, None])
     )
     it.chi = normalize_log_weights(log_w)

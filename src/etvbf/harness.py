@@ -173,13 +173,12 @@ def _sweep_point(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
 def build_filter_config(cfg: ExperimentConfig) -> FilterConfig:
     """Adaptive filter configuration, sized by the scenario's state and measurement."""
     model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
-    m_size = len(cfg.nominal_q_scales)
     return FilterConfig(
         nominal_q=np.multiply.outer(cfg.nominal_q_scales, np.eye(model.n)),
-        dof_g=np.full(m_size, cfg.dof_g),
+        dof_g=cfg.dof_g,
         r0=cfg.r_scale * np.eye(model.m),
         s0=cfg.s0,
-        alpha0=np.full(m_size, cfg.alpha0),
+        alpha0=cfg.alpha0,
         rho=cfg.rho,
         trigger=TriggerConfig(Y=cfg.y_scale * np.eye(model.m)),
         max_iterations=cfg.max_iterations,

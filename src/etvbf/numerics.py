@@ -12,7 +12,6 @@ one explicit inverse of the triangular factor.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "require_spd",
     "symmetrize",
     "digamma",
-    "log_multivariate_gamma",
     "spd_factor",
 ]
 
@@ -103,18 +101,6 @@ def digamma(x):
     inv = 1.0 / x
     series = np.vecdot((inv * inv)[..., None] ** _DIGAMMA_POWERS, _DIGAMMA_SERIES)
     return np.log(x) - 0.5 * inv + series - recurrence
-
-
-def log_multivariate_gamma(n: int, a: float) -> float:
-    """log Gamma_n(a) = (n(n-1)/4) log pi + sum_{i=1..n} log Gamma(a + (1-i)/2)."""
-    if n < 1:
-        raise ValueError(f"order must be a positive integer, got {n}")
-    if not a > 0.5 * (n - 1):
-        raise ValueError(f"log_multivariate_gamma requires a > (n-1)/2, got a={a}, n={n}")
-    out = 0.25 * n * (n - 1) * math.log(math.pi)
-    for i in range(1, n + 1):
-        out += math.lgamma(a + 0.5 * (1 - i))
-    return out
 
 
 @dataclass(frozen=True)

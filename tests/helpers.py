@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
+import scipy.special
 
-from etvbf.numerics import Singular, SpdFactor, digamma, log_multivariate_gamma, spd_factor
+from etvbf.numerics import Singular, SpdFactor, digamma, spd_factor
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -86,7 +87,7 @@ def iw_log_pdf(dof: float, scale: np.ndarray, p: np.ndarray) -> float:
         - 0.5 * (g + n + 1) * p_factor.log_det()
         - 0.5 * trace_term
         - 0.5 * g * n * math.log(2.0)
-        - log_multivariate_gamma(n, 0.5 * g)
+        - scipy.special.multigammaln(0.5 * g, n)
     )
 
 

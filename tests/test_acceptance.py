@@ -59,10 +59,10 @@ def test_01_degenerate_config_matches_kalman_oracle():
     r_fixed = model.trueR(7)
     cfg = FilterConfig(
         nominal_q=(q_fixed,),
-        dof_g=np.array([1e8]),
+        dof_g=1e8,
         r0=r_fixed,
         s0=1e8,
-        alpha0=np.array([1.0]),
+        alpha0=1.0,
         rho=1.0,
         trigger=TriggerConfig(Y=0.015 * np.eye(2)),
         tol=1e-12,
@@ -361,10 +361,10 @@ def _pinned_gain_final_errors(trials):
     x0, p0, steps = scenario_defaults()
     cfg = FilterConfig(
         nominal_q=(4.0 * np.eye(4),),
-        dof_g=np.array([1e8]),
+        dof_g=1e8,
         r0=150.0 * np.eye(2),
         s0=1e8,
-        alpha0=np.array([1.0]),
+        alpha0=1.0,
         rho=1.0,
         trigger=TriggerConfig(Y=0.015 * np.eye(2)),
         max_iterations=1,

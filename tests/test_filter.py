@@ -23,7 +23,7 @@ from etvbf.filter import (
     update_predicted_cov,
 )
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
-from etvbf.numerics import log_multivariate_gamma, spd_factor, symmetrize
+from etvbf.numerics import spd_factor, symmetrize
 from etvbf.trigger import TriggerConfig, TriggerOutcome
 from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
 
@@ -39,13 +39,12 @@ def make_config(
     y_scale=1.0,
     tol=1e-8,
 ):
-    m_size = len(q_scales)
     return FilterConfig(
         nominal_q=tuple(s * np.eye(n) for s in q_scales),
-        dof_g=np.full(m_size, dof),
+        dof_g=dof,
         r0=r_scale * np.eye(m),
         s0=s0,
-        alpha0=np.ones(m_size),
+        alpha0=1.0,
         rho=rho,
         trigger=TriggerConfig(Y=y_scale * np.eye(m)),
         tol=tol,
@@ -79,9 +78,8 @@ class TestFilterConfig:
             ((np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])), "nominal_q must be symmetric"),
             ((np.eye(2), np.diag([1.0, -1e-3])), "nominal_q must be positive definite"),
             (np.eye(2), "nominal_q must be a nonempty array of 3 axes"),
-            ((np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)), "dof_g"),  # three Q, two dofs
         ],
-        ids=["asymmetric", "indefinite", "two-dim", "length-mismatch"],
+        ids=["asymmetric", "indefinite", "two-dim"],
     )
     def test_rejects_bad_nominal_q_at_construction(self, nominal_q, match):
         with pytest.raises(ValueError, match=match):
@@ -91,12 +89,31 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             dataclasses.replace(make_config(), max_iterations=True)
 
-    def test_log_norm_constants_are_derived_not_set(self):
+    @pytest.mark.parametrize("name", ["dof_g", "alpha0"])
+    @pytest.mark.parametrize(
+        "value",
+        [np.full(2, 10.0), np.full(3, 10.0), np.array(10.0), [10.0], True, np.True_, "10"],
+        ids=["array", "array-of-another-length", "0-d-array", "list", "bool", "numpy-bool", "str"],
+    )
+    def test_scalar_prior_rejects_what_is_not_one_number(self, name, value):
+        """One dof and one concentration serve the whole bank: a per-component array, a
+        bool or a string raises a ValueError naming the field."""
+        with pytest.raises(ValueError, match=f"{name} must be one real number"):
+            dataclasses.replace(make_config(), **{name: value})
+
+    @pytest.mark.parametrize("value", [10, np.float32(10.0), np.int64(10)])
+    def test_scalar_prior_takes_any_real_number_as_a_float(self, value):
+        cfg = dataclasses.replace(make_config(), dof_g=value, alpha0=value)
+        assert type(cfg.dof_g) is float and type(cfg.alpha0) is float
+        assert cfg.dof_g == cfg.alpha0 == 10.0
+
+    def test_scaled_bank_is_derived_not_set(self):
         cfg = make_config()
+        assert cfg.scaled_q.tobytes() == (cfg.dof_g * cfg.nominal_q).tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.log_norm_const = np.zeros((2, 2))
+            cfg.scaled_q = np.zeros((2, 2, 2))
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(cfg, log_norm_const=np.zeros((2, 2)))
+            dataclasses.replace(cfg, scaled_q=np.zeros((2, 2, 2)))
 
     def test_accepts_tuple_of_matrices_as_stack(self):
         cfg = make_config(q_scales=(1.0, 2.0))
@@ -106,28 +123,27 @@ class TestFilterConfig:
 
 class TestPredict:
     def test_covariance_bank(self):
-        """The IW scales g_j (fpf + Qbar_j) of the kept fpf give log_norm_j bitwise."""
+        """The IW scales dof_g (fpf + Qbar_j) of the kept fpf give log_norm_j bitwise."""
         cfg = make_config(q_scales=(1.0, 2.0, 3.0))
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=4.0, S=4.0 * np.eye(2), alpha=np.full(3, 2.0)
         )
         pred = predict(state, np.eye(2), cfg)
         assert np.array_equal(pred.fpf, state.P)  # F = I
-        assert np.array_equal(cfg.scaled_q, cfg.dof_g[:, None, None] * cfg.nominal_q)
-        g_j = cfg.dof_g[:, None, None] * (pred.fpf + cfg.nominal_q)
+        assert np.array_equal(cfg.scaled_q, cfg.dof_g * cfg.nominal_q)
+        g_j = cfg.dof_g * (pred.fpf + cfg.nominal_q)
         assert g_j.shape == (3, 2, 2)
         for j, big_g in enumerate(g_j, start=1):
-            assert np.allclose(big_g, cfg.dof_g[j - 1] * (1 + j) * np.eye(2))
-        log_norm = (
-            0.5 * cfg.dof_g * spd_factor(g_j).log_det()
-            - cfg.log_norm_const[0] - cfg.log_norm_const[1]
-        )
+            assert np.allclose(big_g, cfg.dof_g * (1 + j) * np.eye(2))
+        log_norm = 0.5 * cfg.dof_g * spd_factor(pred.fpf + cfg.nominal_q).log_det()
         assert pred.log_norm_j.tobytes() == log_norm.tobytes()
 
     def test_log_normalisers_against_scipy(self):
+        """log_norm_j differs from the full IW log normaliser of G_j = d (fpf + Qbar_j),
+        d log|G_j|/2 - n d log 2/2 - log Gamma_n(d/2), by one constant for the bank."""
         rng = np.random.default_rng(14)
-        n = 4
-        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        n, d = 4, 6.0
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=d)
         state = FilterState(
             x_hat=np.zeros(n), P=random_spd(rng, n), s=5.0, S=5.0 * np.eye(2),
             alpha=np.ones(3),
@@ -135,30 +151,28 @@ class TestPredict:
         f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         pred = predict(state, f_mat, cfg)
         fpf = f_mat @ state.P @ f_mat.T
-        for g_j, q_j, log_norm in zip(cfg.dof_g, cfg.nominal_q, pred.log_norm_j):
-            expected = (
-                0.5 * g_j * np.linalg.slogdet(g_j * (fpf + q_j))[1]
-                - 0.5 * n * g_j * math.log(2.0)
-                - scipy.special.multigammaln(0.5 * g_j, n)
-            )
-            assert log_norm == pytest.approx(expected, rel=1e-12, abs=1e-10)
+        full = np.array([
+            0.5 * d * np.linalg.slogdet(d * (fpf + q_j))[1]
+            - 0.5 * n * d * math.log(2.0)
+            - scipy.special.multigammaln(0.5 * d, n)
+            for q_j in cfg.nominal_q
+        ])
+        common = 0.5 * n * d * math.log(d) - 0.5 * n * d * math.log(2.0)
+        common -= scipy.special.multigammaln(0.5 * d, n)
+        assert pred.log_norm_j == pytest.approx(full - common, rel=1e-12, abs=1e-10)
 
     @pytest.mark.parametrize("rows", [(), (3,)])
     def test_log_normalisers_bitwise_the_per_call_expression(self, rows):
-        """The config's constant terms give bitwise the log_norm_j once built per call."""
+        """log_norm_j is bitwise d log|fpf + Qbar_j| / 2, factored per row and component."""
         rng = np.random.default_rng(16)
         n = 4
-        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=6.0)
         x0_hat = rng.standard_normal(rows + (n,))
         state = initial_state(x0_hat, random_spd(rng, n), cfg)
         pred = predict(state, np.eye(n) + 0.1 * rng.standard_normal((n, n)), cfg)
-        log_gamma_j = np.array([log_multivariate_gamma(n, 0.5 * g) for g in cfg.dof_g])
-        g_j = cfg.dof_g[:, None, None] * (pred.fpf[..., None, :, :] + cfg.nominal_q)
-        log_det_j = spd_factor(g_j).log_det()
-        per_call = (
-            0.5 * cfg.dof_g * log_det_j - 0.5 * n * cfg.dof_g * math.log(2.0) - log_gamma_j
-        )
-        assert pred.log_norm_j.tobytes() == per_call.tobytes()
+        log_det_j = spd_factor(pred.fpf[..., None, :, :] + cfg.nominal_q).log_det()
+        assert log_det_j.shape == rows + (3,)
+        assert pred.log_norm_j.tobytes() == (0.5 * cfg.dof_g * log_det_j).tobytes()
 
     def test_rho_one_keeps_priors(self):
         cfg = make_config(rho=1.0)
@@ -184,7 +198,7 @@ class TestPredict:
         """Each row of a stacked sweep-zero state, in every field, is bitwise its row's alone."""
         rng = np.random.default_rng(15)
         n, rows = 4, 3
-        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]), rho=0.997)
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=6.0, rho=0.997)
         stack = FilterState(
             x_hat=rng.standard_normal((rows, n)),
             P=np.array([random_spd(rng, n) for _ in range(rows)]),
@@ -255,7 +269,7 @@ class TestInitIteration:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
         it = predict(state, np.eye(2), cfg)
-        assert np.vecdot(it.chi, cfg.dof_g) == pytest.approx(10.0)
+        assert it.chi.sum() == pytest.approx(1.0)
         assert np.allclose(it.chi, 0.2)
         assert np.allclose(it.p_tilde, state.P + cfg.nominal_q[0])  # F = I
         assert np.allclose(it.x, state.x_hat)  # F = I
@@ -452,8 +466,8 @@ class TestPredictedCovarianceUpdate:
         it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         p_before = it.P.copy()
         update_predicted_cov(it, cfg)
-        # F = I, so component j's IW scale is g_j (P + Qbar_j); g = 0.2 * 5 * 10 + 1.
-        g_j = cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q)
+        # F = I, so component j's IW scale is dof_g (P + Qbar_j); the dof is 10 + 1.
+        g_j = cfg.dof_g * (state.P + cfg.nominal_q)
         expected_g = sum(0.2 * g for g in g_j) + p_before
         assert np.allclose(11.0 * it.p_tilde, expected_g, atol=1e-12)
 
@@ -472,10 +486,8 @@ class TestPredictedCovarianceUpdate:
         shift = it.x - it.x_pred
         a_mat = it.P + np.outer(shift, shift)
         # F = I, so each component's predicted covariance is P + Qbar_j.
-        numerator = sum(
-            c * g * (state.P + q) for c, g, q in zip(chi, cfg.dof_g, cfg.nominal_q)
-        ) + a_mat
-        denominator = float(chi @ cfg.dof_g) + 1.0
+        numerator = sum(c * cfg.dof_g * (state.P + q) for c, q in zip(chi, cfg.nominal_q)) + a_mat
+        denominator = cfg.dof_g + 1.0
         assert np.allclose(it.p_tilde, numerator / denominator, atol=1e-10)
 
 
@@ -552,11 +564,12 @@ class TestMixtureUpdate:
         it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1))
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
-        g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde
+        d = cfg.dof_g
+        g = d + 1.0  # the posterior IW(g, G) has G = g p_tilde
         G = g * it.p_tilde
         update_mixture(it, cfg)
 
-        # Direct evaluation with scipy special functions.
+        # Direct evaluation with scipy special functions, every term kept.
         n = 1
         e_p_inv = g / G[0, 0]
         e_logdet = (
@@ -565,14 +578,14 @@ class TestMixtureUpdate:
             - float(scipy.special.digamma(0.5 * g))
         )
         log_w = []
-        # F = I, so component j's IW scale is g_j (P + Qbar_j).
-        for g_j, big_g in zip(cfg.dof_g, cfg.dof_g[:, None, None] * (state.P + cfg.nominal_q)):
+        # F = I, so component j's IW scale is d (P + Qbar_j).
+        for big_g in d * (state.P + cfg.nominal_q):
             log_w.append(
-                0.5 * g_j * math.log(big_g[0, 0])
+                0.5 * d * math.log(big_g[0, 0])
                 - 0.5 * big_g[0, 0] * e_p_inv
-                - 0.5 * (g_j + n + 1) * e_logdet
-                - 0.5 * n * g_j * math.log(2.0)
-                - float(scipy.special.gammaln(0.5 * g_j))
+                - 0.5 * (d + n + 1) * e_logdet
+                - 0.5 * n * d * math.log(2.0)
+                - float(scipy.special.gammaln(0.5 * d))
             )
         log_w = np.array(log_w) + (
             scipy.special.digamma(alpha_before) - scipy.special.digamma(alpha_before.sum())
@@ -583,11 +596,13 @@ class TestMixtureUpdate:
         assert np.allclose(it.alpha, it.alpha_prior + expected, atol=1e-10)
 
     def test_four_dim_three_components_against_direct_formula(self):
-        # At n = 1 the n log 2, psi_n and (n + 1) terms are trivial; n = 4 with
-        # distinct dofs exercises every dimension-dependent term.
+        """The reference keeps every term of the expected IW log density, those that
+        cancel across the bank included; the library's weights must still match it."""
+        # At n = 1 the n log 2, psi_n and (n + 1) terms are trivial; n = 4 exercises
+        # every dimension-dependent term.
         rng = np.random.default_rng(11)
         n = 4
-        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=np.array([8.0, 6.0, 5.0]))
+        cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=6.0)
         state = FilterState(
             x_hat=rng.standard_normal(n), P=random_spd(rng, n), s=5.0, S=5.0 * np.eye(2),
             alpha=np.array([0.7, 1.5, 3.0]),
@@ -599,7 +614,8 @@ class TestMixtureUpdate:
         it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, z, h_mat)
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
-        g = float(it.chi @ cfg.dof_g) + 1.0  # the posterior IW(g, G) has G = g p_tilde
+        d = cfg.dof_g
+        g = d + 1.0  # the posterior IW(g, G) has G = g p_tilde
         G = g * it.p_tilde
         update_mixture(it, cfg)
 
@@ -613,12 +629,12 @@ class TestMixtureUpdate:
         fpf = f_mat @ state.P @ f_mat.T
         log_w = np.array(
             [
-                0.5 * g_j * np.linalg.slogdet(big_g)[1]
+                0.5 * d * np.linalg.slogdet(big_g)[1]
                 - 0.5 * np.trace(big_g @ e_p_inv)
-                - 0.5 * (g_j + n + 1) * e_logdet
-                - 0.5 * n * g_j * math.log(2.0)
-                - scipy.special.multigammaln(0.5 * g_j, n)
-                for g_j, big_g in zip(cfg.dof_g, cfg.dof_g[:, None, None] * (fpf + cfg.nominal_q))
+                - 0.5 * (d + n + 1) * e_logdet
+                - 0.5 * n * d * math.log(2.0)
+                - scipy.special.multigammaln(0.5 * d, n)
+                for big_g in d * (fpf + cfg.nominal_q)
             ]
         )
         log_w += scipy.special.digamma(alpha_before) - scipy.special.digamma(alpha_before.sum())

@@ -566,6 +566,20 @@ class TestConfig:
         assert "non-finite" in records[1].fail_reason
         assert_same_record(records[1], alone)
 
+    @pytest.mark.parametrize("dof_g", [1e306, 1e307])
+    def test_dof_bound_is_the_scaled_bank(self, dof_g):
+        """Only the scaled bank dof_g * nominal_q bounds dof_g when built: 1.8e307 times
+        the largest nominal scale, 10, overflows. Below that, 1e306 and 1e307 build, and
+        dof_g F P F^T overflows p_tilde in step 1's first sweep: run_trials records every
+        trial failed there, naming p_tilde, and does not raise."""
+        with pytest.raises(ValueError, match="scaled bank"):
+            ExperimentConfig(n_step=10, dof_g=1.8e307)
+        cfg = ExperimentConfig(n_step=10, dof_g=dof_g)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            records = run_trials(cfg, "etvbf", range(2))
+        assert [(r.failed, r.fail_step) for r in records] == [(True, 1), (True, 1)]
+        assert {r.fail_reason for r in records} == {"p_tilde: matrix contains non-finite entries"}
+
     @pytest.mark.parametrize("rho", [1e-5, 1e-20])
     def test_underflowing_concentration_is_a_recorded_breakdown(self, rho):
         """A tiny rho decays the Dirichlet concentration rho^k of a component whose weight

@@ -9,7 +9,6 @@ from etvbf.numerics import (
     NotPositiveDefinite,
     Singular,
     digamma,
-    log_multivariate_gamma,
     spd_factor,
     symmetrize,
 )
@@ -92,28 +91,6 @@ class TestMultivariateDigamma:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             multivariate_digamma(4, 1.5)
-
-
-class TestLogMultivariateGamma:
-    def test_reference_values(self):
-        assert log_multivariate_gamma(1, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert log_multivariate_gamma(2, 1.0) == pytest.approx(
-            math.log(math.pi), abs=1e-12
-        )
-        assert log_multivariate_gamma(1, 0.5) == pytest.approx(
-            0.5 * math.log(math.pi), abs=1e-12
-        )
-
-    def test_against_scipy(self):
-        for n in (1, 2, 4):
-            for a in (2.0, 5.0, 50.0):
-                assert log_multivariate_gamma(n, a) == pytest.approx(
-                    float(scipy.special.multigammaln(a, n)), rel=1e-12
-                )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_multivariate_gamma(2, 0.5)
 
 
 class TestSpdFactor:
