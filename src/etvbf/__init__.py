@@ -1,6 +1,6 @@
 """Event-triggered adaptive variational filtering and its benchmark harness."""
 
-from .baselines import KfState, clset_kf_step
+from .baselines import KfState, kf_predict
 from .filter import (
     FilterConfig,
     FilterState,
@@ -36,11 +36,11 @@ __all__ = [
     "TriggerConfig",
     "TriggerOutcome",
     "build_cv_scenario",
-    "clset_kf_step",
     "compute_metrics",
     "emit_outputs",
     "etvbf_step",
     "initial_state",
+    "kf_predict",
     "run_sweep",
     "run_trial",
     "run_trials",

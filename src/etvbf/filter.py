@@ -13,7 +13,7 @@ the trigger's information Y on the innovation, which was small enough to
 stay below the stochastic trigger. A step's decisions come as the pair
 (sent, e): which rows sent, and the innovation, formed once per step and
 zero on a silent row, so no sweep reads an untransmitted measurement.
-The known-covariance Kalman baselines take the same update.
+The Kalman baselines take it once, after their own baselines.kf_predict.
 
 Every function but etvbf_step takes one filter state, or a stack of B of
 them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
@@ -25,7 +25,6 @@ with predict and sweep in its own row loop, where rows leave and join.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .numerics import (
     Singular,
     digamma,
     is_integer,
+    is_real,
     require_spd,
     spd_factor,
     symmetrize,
@@ -77,24 +77,20 @@ class FilterConfig:
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
         object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
-        for name in ("dof_g", "alpha0"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be one real number for the bank, got {value!r}")
+        for name in ("dof_g", "alpha0", "s0", "rho", "tol"):
+            if not is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be one real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         m_size, n = self.nominal_q.shape[:2]
         if not n - 1 < self.dof_g < math.inf:
             raise ValueError("dof_g must be finite and above n - 1")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
-        if not 0.0 < self.s0 < math.inf:
-            raise ValueError("s0 must be positive and finite")
-        if not 0.0 < self.alpha0 < math.inf:
-            raise ValueError("alpha0 must be positive and finite")
+        for name in ("s0", "alpha0", "tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
         if not is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         with np.errstate(over="ignore"):  # a finite dof_g can still be too large

@@ -5,15 +5,15 @@ and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while a
 triggered filter draws each trial's trigger uniforms as one table from a
 filter-local stream. All four filters run through one engine, this
-module's _run_rows loop, the one place where rows leave and join a round;
-a filter id only selects how a row's step begins and advances (predict,
-then one sweep a round, or clset_kf_step with nominal or true
-covariances) and whether the sensor trigger decides each step or every
-row sends. A round's decisions are the pair (sent, e) that sweep and
-clset_kf_step take: which rows sent, and the innovation, 0 where silent.
-Each trial advances in time on its own, so its record is the same
-whichever trials it runs with, and a trial caught in a failed round can
-be run again alone from its start.
+module's _run_rows loop, the one place where rows leave and join a round.
+A row's step is: predict x_hat^-, decide on H x_hat^-, update. A filter id
+selects the prediction and update (predict and one sweep a round, or
+kf_predict and one measurement_update with nominal or true covariances)
+and whether the trigger decides or every row sends. The decisions are
+the pair (sent, e) that sweep and measurement_update take: which rows
+sent, and the innovation, 0 where silent. Each trial advances in time on
+its own, so its record is the same whichever trials it runs with, and a
+trial caught in a failed round can be run again alone from its start.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import KfState, clset_kf_step
+from .baselines import KfState, kf_predict
 from .distributions import SeededRng, sample_gaussian
 from .filter import (
-    FilterConfig, FilterState, initial_state, innovation, predict, sweep, take_rows,
+    FilterConfig, FilterState, initial_state, innovation, measurement_update, predict, sweep,
+    take_rows,
 )
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
-from .numerics import NotPositiveDefinite, Singular, is_integer
+from .numerics import NotPositiveDefinite, Singular, is_integer, is_real
 from .trigger import TriggerConfig, trigger_probability
 
 __all__ = [
@@ -97,6 +98,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name in ("sample_time", "dof_g", "r_scale", "s0", "alpha0", "rho", "y_scale",
+                     "clset_q_scale", "tol"):  # checked, not converted: the manifest keeps an int
+            if not is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be one real number, got {value!r}")
         if not self.filters:
             raise ValueError(f"filters must name at least one of {FILTER_IDS}")
         unknown = set(self.filters) - set(FILTER_IDS)
@@ -190,15 +195,19 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
                     x0_hat: np.ndarray, p0: np.ndarray):
     """One filter's initial state, begin, advance and finish, and whether the trigger drives it.
 
-    The variational filters begin a step with predict and advance one sweep
-    a round. Both Kalman baselines take their whole step, clset_kf_step, in
-    begin, with the nominal covariances for clset-kf and the true Q_k, R_k
-    for the oracle. Untriggered filters send every row.
+    begin(prev, kr, f) returns step kr + 1's work and its prediction x_hat^-.
+    The variational filters begin with predict and advance one sweep a
+    round; the Kalman baselines begin with kf_predict and advance by one
+    measurement_update, with the nominal (clset-kf) or true (oracle) Q, R.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
+        def begin(state, kr, f):
+            it = predict(state, f, fcfg)
+            return it, it.x_pred
+
         return (
             initial_state(x0_hat, p0, fcfg),
-            lambda state, kr, f, h, sent, e: predict(state, f, fcfg),
+            begin,
             lambda it, inputs: sweep(it, *inputs[:3], fcfg),
             lambda it: (FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha), it.sweeps),
             filter_id == FILTER_ETVBF,
@@ -209,11 +218,17 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
     covs = (lambda k: q_bar, lambda k: fcfg.r0) if nominal else (model.trueQ, model.trueR)
     q_tab, r_tab = (np.array([cov(k) for k in range(1, cfg.n_step + 1)]) for cov in covs)
 
-    def begin(state, kr, f, h, sent, e):
-        q, r = q_tab.take(kr, axis=0), r_tab.take(kr, axis=0)
-        return clset_kf_step(state, f, h, q, r, fcfg.trigger.Y, sent, e)
+    def begin(state, kr, f):
+        work = kf_predict(state, f, q_tab.take(kr, axis=0))
+        return work, work.x_hat
 
-    return kf_state, begin, lambda work, inputs: True, lambda work: (work, 0), nominal
+    def advance(work, inputs):
+        sent, e, h, kr = inputs[:4]
+        r, y = r_tab.take(kr, axis=0), fcfg.trigger.Y
+        work.x_hat, work.P = measurement_update(work.x_hat, work.P, r, e, sent, h, y)[:2]
+        return True
+
+    return kf_state, begin, advance, lambda work: (work, 0), nominal
 
 
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:
@@ -271,15 +286,16 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     flat = estimate.reshape(-1, model.n), gamma.reshape(-1), iterations.reshape(-1)
 
     def enter(rows, kr, prev):
-        """Start step kr + 1 of rows from prev, with the trigger's decisions for it."""
+        """Start step kr + 1 of rows from prev: predict, then decide on H x_hat^-."""
         f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
-        z_k, z_pred = measurements[rows, kr], np.matvec(h, np.matvec(f, prev.x_hat))
+        work, x_pred = begin(prev, kr, f)
+        z_k, z_pred = measurements[rows, kr], np.matvec(h, x_pred)
         if triggered:  # sensor_decide's rule, row by row: silent when zeta <= exp(-e'Ye/2)
             sent = zeta[rows, kr] > trigger_probability(z_k - z_pred, fcfg.trigger)
         else:
             sent = np.ones(rows.size, dtype=bool)
         e = innovation(sent, z_k, z_pred)
-        return begin(prev, kr, f, h, sent, e), (sent, e, h, kr, rows)
+        return work, (sent, e, h, kr, rows)
 
     def retire(work, inputs):
         """Record the rows that finished a step at their own k, and start their next step."""

@@ -22,6 +22,7 @@ __all__ = [
     "Singular",
     "SpdFactor",
     "is_integer",
+    "is_real",
     "require_spd",
     "symmetrize",
     "digamma",
@@ -40,6 +41,11 @@ class Singular(Exception):
 def is_integer(v) -> bool:
     """Whether v is an integer setting: a numbers.Integral, and not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether v is a real setting: one numbers.Real, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Shared test utilities: random SPD matrices, dense reference formulas, field bytes."""
+"""Shared test utilities: random SPD matrices, dense reference formulas, field bytes, kf_step."""
 
 import math
 
 import numpy as np
 import scipy.special
 
+from etvbf.baselines import KfState, kf_predict
+from etvbf.filter import measurement_update
 from etvbf.numerics import Singular, SpdFactor, digamma, spd_factor
 
 
@@ -17,6 +19,12 @@ def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.nda
 def field_bytes(*objs) -> list[dict]:
     """The bytes of every field of each dataclass, to check later that nothing wrote into them."""
     return [{k: np.asarray(v).tobytes() for k, v in vars(obj).items()} for obj in objs]
+
+
+def kf_step(state, F, H, Q, R, Y, sent, e) -> KfState:
+    """One Kalman step as the harness runs it: kf_predict, then measurement_update on (sent, e)."""
+    pred = kf_predict(state, F, Q)
+    return KfState(*measurement_update(pred.x_hat, pred.P, R, e, sent, H, Y)[:2])
 
 
 def dense_theta(

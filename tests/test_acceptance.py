@@ -18,7 +18,7 @@ import zlib
 import numpy as np
 import pytest
 
-from etvbf.baselines import KfState, clset_kf_step
+from etvbf.baselines import KfState
 from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.filter import (
     FilterConfig,
@@ -33,7 +33,7 @@ from etvbf.filter import (
 from etvbf.harness import ExperimentConfig, emit_outputs, run_sweep
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.trigger import TriggerConfig, TriggerOutcome, sensor_decide, trigger_probability
-from helpers import block_inverse, dense_kalman_update, dense_theta, random_spd
+from helpers import block_inverse, dense_kalman_update, dense_theta, kf_step, random_spd
 
 PRIMARY_SEED = 20240
 RETRY_SEED = 20241
@@ -79,7 +79,7 @@ def test_01_degenerate_config_matches_kalman_oracle():
             transmitted = TriggerOutcome(gamma=1, measurement=z)
             adaptive, _ = etvbf_step(adaptive, f, h, transmitted, cfg)
             e = z - np.matvec(h, np.matvec(f, plain.x_hat))
-            plain = clset_kf_step(plain, f, h, q_fixed, r_fixed, cfg.trigger.Y, True, e)
+            plain = kf_step(plain, f, h, q_fixed, r_fixed, cfg.trigger.Y, True, e)
             rel = float(
                 np.linalg.norm(adaptive.x_hat - plain.x_hat) / np.linalg.norm(plain.x_hat)
             )

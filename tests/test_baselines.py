@@ -1,23 +1,39 @@
 import numpy as np
 import pytest
 
-from etvbf.baselines import KfState, clset_kf_step
+from etvbf.baselines import KfState, kf_predict
 from etvbf.distributions import SeededRng
 from etvbf.filter import innovation
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
-from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
+from helpers import dense_kalman_update, dense_theta, field_bytes, kf_step, random_spd
 
 
 def decided_step(state, f, h, q, r, y, sent, z=None):
-    """clset_kf_step given which rows sent and their z, with e = z - H F x_hat where sent."""
-    e = innovation(np.asarray(sent), z, np.matvec(h, np.matvec(f, state.x_hat)))
-    return clset_kf_step(state, f, h, q, r, y, sent, e)
+    """kf_step given which rows sent and their z, with e = z - H x_hat^- where sent."""
+    e = innovation(np.asarray(sent), z, np.matvec(h, kf_predict(state, f, q).x_hat))
+    return kf_step(state, f, h, q, r, y, sent, e)
 
 
 def transmitted_step(state, f, h, q, r, z):
-    """clset_kf_step with the measurement delivered, as the oracle Kalman filter runs it."""
+    """kf_step with the measurement delivered, as the oracle Kalman filter runs it."""
     return decided_step(state, f, h, q, r, np.eye(len(z)), True, z)
+
+
+class TestKfPredict:
+    @pytest.mark.parametrize("rows", [(), (5,)], ids=["single-state", "stack-of-5"])
+    def test_is_f_x_and_symmetrized_f_p_f_plus_q(self, rows):
+        """kf_predict gives (F x_hat, sym(F P F^T) + Q) bitwise, and writes into no input."""
+        rng = np.random.default_rng(3)
+        f, q = np.eye(4) + 0.2 * rng.standard_normal((4, 4)), random_spd(rng, 4)
+        p = np.broadcast_to(random_spd(rng, 4), rows + (4, 4)).copy()
+        state = KfState(rng.standard_normal(rows + (4,)), p)
+        before = field_bytes(state)
+        pred = kf_predict(state, f, q)
+        fpf = f @ p @ f.T
+        assert pred.x_hat.tobytes() == np.matvec(f, state.x_hat).tobytes()
+        assert pred.P.tobytes() == (0.5 * (fpf + fpf.mT) + q).tobytes()
+        assert field_bytes(state) == before
 
 
 class TestOracleKalman:
@@ -93,35 +109,21 @@ class TestClsetKf:
             assert np.array_equal(stacked.P[i], alone.P)
 
     def test_stack_step_leaves_its_input_arrays_unchanged(self):
-        """A mixed stack's step leaves the state, sent and e as given: the updates rebind
-        and never write."""
+        """A mixed stack's step leaves the state, sent and e as given: kf_predict and
+        measurement_update rebind and never write."""
         rng = np.random.default_rng(7)
         model = build_cv_scenario(1.0, 500)
         sent = np.array([True, False, True, True])
         state = KfState(rng.standard_normal((4, 4)), np.stack([random_spd(rng, 4) for _ in sent]))
         e = np.where(sent[:, None], rng.standard_normal((4, 2)), 0.0)
         before = field_bytes(state), sent.tobytes(), e.tobytes()
-        clset_kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), 150.0 * np.eye(2),
-                      0.015 * np.eye(2), sent, e)
+        kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), 150.0 * np.eye(2),
+                0.015 * np.eye(2), sent, e)
         assert (field_bytes(state), sent.tobytes(), e.tobytes()) == before
-
-    @pytest.mark.parametrize(
-        "rows, sent",
-        [((3,), np.array([True])), ((), np.array([True]))],
-        ids=["stack-of-3", "single-state"],
-    )
-    def test_outcome_rows_must_match_state_rows(self, rows, sent):
-        """A sent with other rows than the state is rejected, not broadcast."""
-        model = build_cv_scenario(1.0, 500)
-        x0, p0, _ = scenario_defaults()
-        state = KfState(np.broadcast_to(x0, rows + x0.shape), np.broadcast_to(p0, rows + p0.shape))
-        with pytest.raises(ValueError, match="sent"):
-            clset_kf_step(state, model.F(1), model.H(1), 4.0 * np.eye(4), np.eye(2), np.eye(2),
-                          sent, np.ones((1, 2)))
 
     def test_silent_scalar_reference(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))
-        out = clset_kf_step(
+        out = kf_step(
             state,
             np.eye(1),
             np.eye(1),
@@ -136,7 +138,7 @@ class TestClsetKf:
 
     def test_silent_with_vanishing_trigger_keeps_prior(self):
         state = KfState(x_hat=np.zeros(1), P=np.eye(1))
-        out = clset_kf_step(
+        out = kf_step(
             state,
             np.eye(1),
             np.eye(1),
@@ -164,7 +166,7 @@ class TestClsetKf:
                 y = np.outer(v, v)
             else:
                 y = random_spd(rng, m, scale=float(rng.uniform(1e-3, 1.0)))
-            out = clset_kf_step(state, f, h, q_bar, r_bar, y, False, np.zeros(m))
+            out = kf_step(state, f, h, q_bar, r_bar, y, False, np.zeros(m))
             p_pred = f @ state.P @ f.T + q_bar
             expected = dense_theta(p_pred, r_bar, h, y)[:n, :n]
             assert np.allclose(out.P, expected, rtol=1e-9, atol=1e-9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from etvbf.baselines import KfState, clset_kf_step
+from etvbf.baselines import KfState, kf_predict
 from etvbf.distributions import SeededRng
 from etvbf.filter import (
     FilterConfig,
@@ -89,15 +89,16 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             dataclasses.replace(make_config(), max_iterations=True)
 
-    @pytest.mark.parametrize("name", ["dof_g", "alpha0"])
+    @pytest.mark.parametrize("name", ["dof_g", "alpha0", "s0", "rho", "tol"])
     @pytest.mark.parametrize(
         "value",
         [np.full(2, 10.0), np.full(3, 10.0), np.array(10.0), [10.0], True, np.True_, "10"],
         ids=["array", "array-of-another-length", "0-d-array", "list", "bool", "numpy-bool", "str"],
     )
     def test_scalar_prior_rejects_what_is_not_one_number(self, name, value):
-        """One dof and one concentration serve the whole bank: a per-component array, a
-        bool or a string raises a ValueError naming the field."""
+        """One dof and one concentration serve the whole bank, and s0, rho and tol are one
+        number each: an array, a bool or a string raises a ValueError naming the field,
+        before any range check compares it."""
         with pytest.raises(ValueError, match=f"{name} must be one real number"):
             dataclasses.replace(make_config(), **{name: value})
 
@@ -220,7 +221,7 @@ class TestPredict:
 class TestPerRowMatrices:
     @pytest.mark.parametrize("rows", [1, 7, 50])
     def test_one_matrix_per_row_is_bitwise_the_shared_one(self, rows):
-        """predict, measurement_update on sent, silent and mixed stacks, and clset_kf_step
+        """predict, measurement_update on sent, silent and mixed stacks, and kf_predict
         given F, H (and Q, R) as (B, ., .) stacks of one matrix give bitwise what the
         shared matrix gives."""
         rng = np.random.default_rng(17)
@@ -251,12 +252,15 @@ class TestPerRowMatrices:
                 measurement_update(*args, sent, h, cfg.trigger.Y),
                 measurement_update(*args, sent, per_row[1], cfg.trigger.Y),
             )
-        sent = gamma == 1
-        e = innovation(sent, z, np.matvec(h, np.matvec(f, stack.x_hat)))
         kf = KfState(x_hat=stack.x_hat, P=stack.P)
+        pred = kf_predict(kf, f, q)
+        same(vars(pred).values(), vars(kf_predict(kf, per_row[0], per_row[2])).values())
+        sent = gamma == 1
+        args = (pred.x_hat, pred.P)
+        e = innovation(sent, z, np.matvec(h, pred.x_hat))
         same(
-            vars(clset_kf_step(kf, f, h, q, r, cfg.trigger.Y, sent, e)).values(),
-            vars(clset_kf_step(kf, *per_row, cfg.trigger.Y, sent, e)).values(),
+            measurement_update(*args, r, e, sent, h, cfg.trigger.Y),
+            measurement_update(*args, per_row[3], e, sent, per_row[1], cfg.trigger.Y),
         )
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from etvbf import harness
-from etvbf.baselines import KfState, clset_kf_step
+from etvbf.baselines import KfState, kf_predict
 from etvbf.cli import main as cli_main
-from etvbf.filter import etvbf_step, initial_state, innovation
+from etvbf.filter import etvbf_step, initial_state, innovation, measurement_update
 from etvbf.harness import (
     FILTER_IDS,
     ExperimentConfig,
@@ -25,7 +25,7 @@ from etvbf.harness import (
 from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import NotPositiveDefinite
-from etvbf.trigger import sensor_decide
+from etvbf.trigger import TriggerOutcome, sensor_decide
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
 GOLDEN_SINGLE_CSV = pathlib.Path(__file__).parent / "data" / "sweep_golden_single.csv"
@@ -57,36 +57,49 @@ class TestRunTrial:
         for other in truths[1:]:
             assert np.array_equal(truths[0], other)
 
-    @pytest.mark.parametrize("filter_id", ["etvbf", "clset-kf"])
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
     def test_record_is_the_single_state_library_loop(self, filter_id):
         """run_trial's truth, gamma, iterations and estimates are bitwise a hand loop of
-        one state: x0_hat and truth from the (base_seed, trial) stream, one sensor_decide
-        a step from the (base_seed, trial, crc32(filter)) stream against H F x_hat, and
-        etvbf_step or clset_kf_step."""
+        one state: x0_hat and truth from the (base_seed, trial) stream; the prediction
+        x_hat^- = F x_hat; for a triggered filter one sensor_decide a step against
+        H x_hat^-, from the (base_seed, trial, crc32(filter)) stream, and otherwise every
+        outcome sent; then etvbf_step, or kf_predict and measurement_update with the
+        nominal (clset-kf) or the true (oracle-kf) covariances."""
         cfg = ExperimentConfig(y_scale=0.015)
         model = build_cv_scenario(cfg.sample_time, cfg.cosine_period)
         fcfg = build_filter_config(cfg)
         x0, p0, _ = scenario_defaults()
+        kalman, triggered = filter_id.endswith("-kf"), filter_id in ("etvbf", "clset-kf")
         q_bar = cfg.clset_q_scale * np.eye(model.n)
         for t in range(4):
             rng = SeededRng((cfg.base_seed, t))
             x0_hat = sample_gaussian(rng, x0, p0)
             traj = simulate_truth(model, x0, cfg.n_step, rng)
             trig = SeededRng((cfg.base_seed, t, zlib.crc32(filter_id.encode("utf-8"))))
-            state = initial_state(x0_hat, p0, fcfg) if filter_id == "etvbf" else KfState(x0_hat, p0)
+            state = KfState(x0_hat, p0) if kalman else initial_state(x0_hat, p0, fcfg)
             estimate, gamma, iterations = [], [], []
             for k in range(1, cfg.n_step + 1):
-                f, h = model.F(k), model.H(k)
-                z_pred = np.matvec(h, np.matvec(f, state.x_hat))
-                outcome = sensor_decide(traj.measurements[k - 1], z_pred, fcfg.trigger, trig)
-                if filter_id == "etvbf":
-                    state, diag = etvbf_step(state, f, h, outcome, fcfg)
-                    iterations.append(diag.iterations)
+                f, h, z = model.F(k), model.H(k), traj.measurements[k - 1]
+                if kalman:
+                    oracle = filter_id == "oracle-kf"
+                    q, r = (model.trueQ(k), model.trueR(k)) if oracle else (q_bar, fcfg.r0)
+                    pred = kf_predict(state, f, q)
+                    z_pred = np.matvec(h, pred.x_hat)
                 else:
+                    z_pred = np.matvec(h, np.matvec(f, state.x_hat))
+                if triggered:
+                    outcome = sensor_decide(z, z_pred, fcfg.trigger, trig)
+                else:
+                    outcome = TriggerOutcome(gamma=1, measurement=z)
+                if kalman:
                     sent = outcome.gamma == 1
                     e = innovation(sent, outcome.measurement, z_pred)
-                    state = clset_kf_step(state, f, h, q_bar, fcfg.r0, fcfg.trigger.Y, sent, e)
+                    update = measurement_update(pred.x_hat, pred.P, r, e, sent, h, fcfg.trigger.Y)
+                    state = KfState(*update[:2])
                     iterations.append(0)
+                else:
+                    state, diag = etvbf_step(state, f, h, outcome, fcfg)
+                    iterations.append(diag.iterations)
                 estimate.append(state.x_hat)
                 gamma.append(outcome.gamma)
             rec = run_trial(cfg, filter_id, t)
@@ -175,9 +188,9 @@ class TestLockstep:
 
     @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
     def test_failing_kalman_row_is_recorded_alone(self, monkeypatch, filter_id):
-        """Both Kalman baselines step through clset_kf_step and retry rows alone with 0 sweeps."""
+        """Both Kalman baselines begin with kf_predict and retry rows alone with 0 sweeps."""
         records, _ = check_failing_row_recorded_alone(
-            monkeypatch, filter_id, "clset_kf_step", [(3, 5)]
+            monkeypatch, filter_id, "kf_predict", [(3, 5)]
         )
         assert not any(r.iterations.any() for r in records)
 
@@ -187,7 +200,7 @@ class TestLockstep:
     @pytest.mark.parametrize("filter_id", ["etvbf", "clset-kf", "oracle-kf"])
     def test_failure_sequences_are_recorded_alone(self, monkeypatch, filter_id, failures):
         """Rows failing at different steps, or every row at one step, are each recorded alone."""
-        name = "predict" if filter_id == "etvbf" else "clset_kf_step"
+        name = "predict" if filter_id == "etvbf" else "kf_predict"
         check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures)
 
     def test_round_failure_no_trial_repeats_alone_is_raised(self, monkeypatch):
@@ -229,7 +242,7 @@ def check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures, mid
 
     An engine round and a row's retry alone both call it. A trial's
     estimate entering a step marks that trial at that step: as the state
-    given to predict or clset_kf_step, or, mid_step, as F times it, the
+    given to predict or kf_predict, or, mid_step, as F times it, the
     x_pred that a sweep refines, from the step's second sweep on. Returns
     the records, and the first argument of every call that raised.
     """
@@ -527,6 +540,17 @@ class TestConfig:
             {"filters": "etvbf"},
             {"sweep_param": "r", "sweep_grid": "12"},
             {"tol": math.inf},
+            {"r_scale": [1.0, 2.0]},
+            {"y_scale": [0.01, 0.02]},
+            {"r_scale": [1.0, 2.0, 3.0]},
+            {"s0": [5.0]},
+            {"rho": [0.997]},
+            {"tol": [1e-6]},
+            {"sample_time": [1.0]},
+            {"clset_q_scale": [4.0]},
+            {"rho": True},
+            {"dof_g": np.array([10.0])},
+            {"alpha0": "1"},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
@@ -536,13 +560,33 @@ class TestConfig:
             "n-step-fraction", "max-iterations-fraction", "cosine-period-fraction",
             "seed-fraction", "filters-empty", "sample-time-inf", "dof-g-inf", "s0-inf",
             "alpha0-inf", "dof-g-1e308", "alpha0-1e308", "clset-q-inf", "q-scales-string",
-            "filters-string", "grid-string", "tol-inf",
+            "filters-string", "grid-string", "tol-inf", "r-scale-list", "y-scale-list",
+            "r-scale-list-of-3", "s0-list", "rho-list", "tol-list", "sample-time-list",
+            "clset-q-list", "rho-bool", "dof-g-array", "alpha0-string",
         ],
     )
     def test_rejected_when_built(self, bad):
         """Every grid point is checked by its field's own rule, and no setting waits for a trial."""
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sample_time", "dof_g", "r_scale", "s0", "alpha0", "rho", "y_scale", "clset_q_scale",
+         "tol"],
+    )
+    def test_real_setting_rejected_by_name(self, name):
+        """A list for a real-valued setting, as a --config file can give, raises a
+        ValueError naming the field: not numpy's broadcast error, a TypeError, or a run
+        with a diagonal built from the list."""
+        with pytest.raises(ValueError, match=f"{name} must be one real number"):
+            ExperimentConfig(**{name: [1.0, 2.0]})
+
+    def test_real_setting_is_kept_as_given(self):
+        """A real setting is checked, not converted: one given as an int stays an int in
+        the manifest."""
+        cfg = ExperimentConfig(r_scale=150)
+        assert json.dumps(dataclasses.asdict(cfg)["r_scale"]) == "150"
 
     @pytest.mark.parametrize("name", ["dof_g", "alpha0"])
     def test_large_finite_prior_runs_clean(self, name):
