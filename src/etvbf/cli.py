@@ -54,6 +54,10 @@ def _resolve_config(args, **overrides) -> ExperimentConfig:
             data.update(json.load(fh))
     profile = PROFILES[args.profile]
     data.setdefault("n_mc", profile["n_mc"])
+    # A sweep's grid: --grid, else the file's grid if it sweeps the same param, else the profile's.
+    param = overrides.get("sweep_param")
+    if param is not None and (data.get("sweep_param") != param or "sweep_grid" not in data):
+        data["sweep_grid"] = profile["grids"][param]
     if args.seed is not None:
         data["base_seed"] = args.seed
     if args.mc is not None:
@@ -80,7 +84,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = PROFILES[args.profile]["grids"][args.param]
+    grid = None
     if args.grid is not None:
         values = args.grid.split(",")
         if not all(v.strip() for v in values):

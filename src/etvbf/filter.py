@@ -77,22 +77,19 @@ class FilterConfig:
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
         object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
-        for name in ("dof_g", "alpha0", "s0", "rho", "tol"):
-            if not is_real(value := getattr(self, name)):
-                raise ValueError(f"{name} must be one real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
         m_size, n = self.nominal_q.shape[:2]
-        if not n - 1 < self.dof_g < math.inf:
-            raise ValueError("dof_g must be finite and above n - 1")
+        # Each scalar's one rule: a real number in (low, high], with no high bound but rho's.
+        for name, low, high in (("dof_g", n - 1, None), ("alpha0", 0, None), ("s0", 0, None),
+                                ("rho", 0, 1), ("tol", 0, None)):
+            value = getattr(self, name)
+            if not (is_real(value) and low < value and (high is None or value <= high)):
+                rule = f"above {low}" if high is None else f"in ({low}, {high}]"
+                raise ValueError(f"{name} must be one real number {rule}, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (is_integer(steps := self.max_iterations) and steps >= 1):
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {steps!r}")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
-        for name in ("s0", "alpha0", "tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
-        if not is_integer(self.max_iterations) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be an integer of at least 1")
         with np.errstate(over="ignore"):  # a finite dof_g can still be too large
             scaled_q = self.dof_g * self.nominal_q
         if not np.isfinite(scaled_q).all():

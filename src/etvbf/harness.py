@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,39 +87,36 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("filters", "sweep_grid", "nominal_q_scales"):
-            if isinstance(value := getattr(self, name), str):  # it would split into characters
-                raise ValueError(f"{name} must be a list, not the string {value!r}")
-        object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "sweep_grid", tuple(float(v) for v in self.sweep_grid))
-        object.__setattr__(
-            self, "nominal_q_scales", tuple(float(v) for v in self.nominal_q_scales)
-        )
-        for name, least in (("n_mc", 1), ("n_step", 1), ("cosine_period", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < least:
+        # The rules of the settings that no object built here takes; the others' are theirs.
+        for name, least in (("base_seed", 0), ("n_mc", 1), ("n_step", 1)):
+            if not (is_integer(value := getattr(self, name)) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        for name in ("sample_time", "dof_g", "r_scale", "s0", "alpha0", "rho", "y_scale",
-                     "clset_q_scale", "tol"):  # checked, not converted: the manifest keeps an int
-            if not is_real(value := getattr(self, name)):
-                raise ValueError(f"{name} must be one real number, got {value!r}")
+        for name in ("filters", "sweep_grid", "nominal_q_scales"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):  # no splitting a string
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        for name in ("sweep_grid", "nominal_q_scales"):  # each value kept as given
+            if bad := [v for v in getattr(self, name) if not is_real(v)]:
+                raise ValueError(f"{name} must be a list of real numbers, not of {bad!r}")
         if not self.filters:
             raise ValueError(f"filters must name at least one of {FILTER_IDS}")
-        unknown = set(self.filters) - set(FILTER_IDS)
-        if unknown:
-            raise ValueError(f"unknown filter ids {sorted(unknown)}; choose from {FILTER_IDS}")
+        if unknown := [f for f in self.filters if f not in FILTER_IDS]:  # compared, not hashed
+            raise ValueError(f"filters names unknown ids {unknown}; choose from {FILTER_IDS}")
         for name in ("filters", "sweep_grid"):
             items = getattr(self, name)
-            repeated = sorted({v for v in items if items.count(v) > 1})
-            if repeated:
+            if repeated := sorted({v for v in items if items.count(v) > 1}):
                 raise ValueError(f"{name} repeats {repeated}; each cell would run twice")
         if self.sweep_param is None and self.sweep_grid:
             raise ValueError("a sweep_grid needs a sweep_param")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
-        if not 0.0 < self.clset_q_scale < math.inf:
-            raise ValueError("clset_q_scale must be positive and finite")
-        build_filter_config(self)  # raises ValueError on an out-of-domain scenario or tuning
+        if not (is_real(q := self.clset_q_scale) and q > 0):  # kept as given
+            raise ValueError(f"clset_q_scale must be one real number above 0, got {q!r}")
+        for name in ("r_scale", "y_scale"):  # the scales of r0 and Y, whose rules judge the rest
+            if not is_real(value := getattr(self, name)):  # kept as given: an int stays an int
+                raise ValueError(f"{name} must be one real number, got {value!r}")
+        build_filter_config(self)  # builds the scenario, the FilterConfig and its TriggerConfig
         for value in self.sweep_grid:
             _sweep_point(self, value)  # each grid value meets its field's own rule
 
@@ -198,7 +196,8 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
     begin(prev, kr, f) returns step kr + 1's work and its prediction x_hat^-.
     The variational filters begin with predict and advance one sweep a
     round; the Kalman baselines begin with kf_predict and advance by one
-    measurement_update, with the nominal (clset-kf) or true (oracle) Q, R.
+    measurement_update, with the nominal (clset-kf) or true (oracle) Q, R,
+    where a P that overflows is a breakdown.
     """
     if filter_id in (FILTER_ETVBF, FILTER_VBF):
         def begin(state, kr, f):
@@ -226,6 +225,8 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
         sent, e, h, kr = inputs[:4]
         r, y = r_tab.take(kr, axis=0), fcfg.trigger.Y
         work.x_hat, work.P = measurement_update(work.x_hat, work.P, r, e, sent, h, y)[:2]
+        if not np.isfinite(work.P).all():  # an overflowed covariance, as a huge Q can make it
+            raise NotPositiveDefinite("P: matrix contains non-finite entries")
         return True
 
     return kf_state, begin, advance, lambda work: (work, 0), nominal

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SeededRng
-from .numerics import spd_factor
+from .numerics import is_integer, is_real, spd_factor
 
 __all__ = [
     "ModelSpec",
@@ -54,11 +54,11 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
     continuous-white-noise-acceleration block, and the true measurement
     noise is (100 + 50 cos(pi k / T_f)) times a 0.5-correlated 2x2 matrix.
     """
-    if not 0.0 < sample_time < math.inf:
-        raise ValueError("sample_time must be positive and finite")
-    if not cosine_period > 0:
-        raise ValueError("cosine_period must be positive")
-    t = float(sample_time)
+    if not (is_real(sample_time) and sample_time > 0):
+        raise ValueError(f"sample_time must be one real number above 0, got {sample_time!r}")
+    if not (is_integer(cosine_period) and cosine_period >= 1):
+        raise ValueError(f"cosine_period must be an integer of at least 1, got {cosine_period!r}")
+    t = sample_time
     eye2 = np.eye(2)
     f_mat = np.block([[eye2, t * eye2], [np.zeros((2, 2)), eye2]])
     h_mat = np.hstack([eye2, np.zeros((2, 2))])

@@ -12,6 +12,7 @@ one explicit inverse of the triangular factor.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -44,8 +45,11 @@ def is_integer(v) -> bool:
 
 
 def is_real(v) -> bool:
-    """Whether v is a real setting: one numbers.Real, and not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """Whether v is a real setting: one finite numbers.Real that a float holds, not a bool."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the largest float
+        return False
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -92,13 +92,16 @@ class TestFilterConfig:
     @pytest.mark.parametrize("name", ["dof_g", "alpha0", "s0", "rho", "tol"])
     @pytest.mark.parametrize(
         "value",
-        [np.full(2, 10.0), np.full(3, 10.0), np.array(10.0), [10.0], True, np.True_, "10"],
-        ids=["array", "array-of-another-length", "0-d-array", "list", "bool", "numpy-bool", "str"],
+        [np.full(2, 10.0), np.full(3, 10.0), np.array(10.0), [10.0], True, np.True_, "10",
+         None, math.inf, -math.inf, math.nan, 10**400],
+        ids=["array", "array-of-another-length", "0-d-array", "list", "bool", "numpy-bool", "str",
+             "none", "inf", "minus-inf", "nan", "huge-int"],
     )
     def test_scalar_prior_rejects_what_is_not_one_number(self, name, value):
         """One dof and one concentration serve the whole bank, and s0, rho and tol are one
-        number each: an array, a bool or a string raises a ValueError naming the field,
-        before any range check compares it."""
+        number each: an array, a bool, a string, a non-finite number or an int too large
+        for a float raises a ValueError naming the field, with no numpy or overflow error
+        from a range check."""
         with pytest.raises(ValueError, match=f"{name} must be one real number"):
             dataclasses.replace(make_config(), **{name: value})
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import warnings
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from etvbf import harness
 from etvbf.baselines import KfState, kf_predict
+from etvbf.cli import PROFILES
 from etvbf.cli import main as cli_main
 from etvbf.filter import etvbf_step, initial_state, innovation, measurement_update
 from etvbf.harness import (
@@ -28,6 +30,13 @@ from etvbf.numerics import NotPositiveDefinite
 from etvbf.trigger import TriggerOutcome, sensor_decide
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
+REAL_FIELDS = ("sample_time", "dof_g", "r_scale", "s0", "alpha0", "rho", "y_scale",
+               "clset_q_scale", "tol")
+INTEGER_FIELDS = ("base_seed", "n_mc", "n_step", "cosine_period", "max_iterations")
+LIST_FIELDS = ("filters", "sweep_grid", "nominal_q_scales")
+BAD_REALS = (True, [1.0], None, "1", math.inf, -math.inf, math.nan, 10**400)
+BAD_INTEGERS = (True, 2.5, [1], None, "1", -(10**400))
+BAD_LISTS = ("x", None, 5, [[1.0]], [True], [None])
 GOLDEN_SINGLE_CSV = pathlib.Path(__file__).parent / "data" / "sweep_golden_single.csv"
 
 
@@ -551,6 +560,10 @@ class TestConfig:
             {"rho": True},
             {"dof_g": np.array([10.0])},
             {"alpha0": "1"},
+            {"sweep_param": "rho", "sweep_grid": [True]},
+            {"sweep_param": "r", "sweep_grid": [[1.0, 2.0]]},
+            {"nominal_q_scales": [[1.0], 2.0]},
+            {"clset_q_scale": 10**400},
         ],
         ids=[
             "rho-grid-above-1", "r-grid-zero", "y-grid-negative", "grid-without-param",
@@ -562,7 +575,8 @@ class TestConfig:
             "alpha0-inf", "dof-g-1e308", "alpha0-1e308", "clset-q-inf", "q-scales-string",
             "filters-string", "grid-string", "tol-inf", "r-scale-list", "y-scale-list",
             "r-scale-list-of-3", "s0-list", "rho-list", "tol-list", "sample-time-list",
-            "clset-q-list", "rho-bool", "dof-g-array", "alpha0-string",
+            "clset-q-list", "rho-bool", "dof-g-array", "alpha0-string", "rho-grid-bool",
+            "r-grid-nested", "q-scales-nested", "clset-q-huge-int",
         ],
     )
     def test_rejected_when_built(self, bad):
@@ -581,6 +595,22 @@ class TestConfig:
         with a diagonal built from the list."""
         with pytest.raises(ValueError, match=f"{name} must be one real number"):
             ExperimentConfig(**{name: [1.0, 2.0]})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            *((name, value) for name in REAL_FIELDS for value in BAD_REALS),
+            *((name, value) for name in INTEGER_FIELDS for value in BAD_INTEGERS),
+            *((name, value) for name in LIST_FIELDS for value in BAD_LISTS),
+        ],
+    )
+    def test_every_field_rejects_a_bad_value_by_name(self, name, value):
+        """Each field's one rule, wherever it is written, raises a ValueError naming the
+        field: no TypeError, OverflowError or numpy warning gets there first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{"sweep_param": "y", name: value})
 
     def test_real_setting_is_kept_as_given(self):
         """A real setting is checked, not converted: one given as an int stays an int in
@@ -609,6 +639,19 @@ class TestConfig:
         assert records[1].fail_reason.startswith("p_tilde: ")
         assert "non-finite" in records[1].fail_reason
         assert_same_record(records[1], alone)
+
+    def test_overflowing_kalman_covariance_is_a_recorded_breakdown(self):
+        """clset_q_scale = 1e308 builds, but the Kalman update's H P H^T overflows at step
+        1: every clset-kf trial is recorded failed there, naming P, and the cell counts
+        them, where it used to report a NaN rmse with no failures."""
+        cfg = ExperimentConfig(n_mc=3, n_step=10, clset_q_scale=1e308, filters=["clset-kf"],
+                               sweep_param="y", sweep_grid=[0.015])
+        with pytest.warns(RuntimeWarning):
+            (row,) = run_sweep(cfg)
+            records = run_trials(cfg, "clset-kf", range(3))
+        assert row.failures == 3 and math.isnan(row.rmse)
+        assert [(r.failed, r.fail_step) for r in records] == [(True, 1)] * 3
+        assert {r.fail_reason for r in records} == {"P: matrix contains non-finite entries"}
 
     @pytest.mark.parametrize("dof_g", [1e306, 1e307])
     def test_dof_bound_is_the_scaled_bank(self, dof_g):
@@ -747,6 +790,21 @@ class TestCli:
             )
         for filter_id in FILTER_IDS:
             assert filter_id in str(excinfo.value)
+
+    def test_sweep_replays_its_manifest_grid(self, tmp_path, capsys):
+        """A sweep without --grid takes the --config file's grid when the file sweeps the
+        same param, so a manifest replays its run byte for byte; for another param the
+        profile's grid is used."""
+        cli_main(["sweep", "--param", "y", "--grid", "0.015", "--filters", "clset-kf",
+                  "--mc", "2", "--steps", "8", "--out", str(tmp_path / "a")])
+        manifest = str(tmp_path / "a_manifest.json")
+        cli_main(["sweep", "--param", "y", "--config", manifest, "--out", str(tmp_path / "b")])
+        for suffix in (".csv", "_rmse.dat", "_comm_rate.dat", "_iterations.dat",
+                       "_manifest.json"):
+            assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
+        cli_main(["sweep", "--param", "r", "--config", manifest, "--out", str(tmp_path / "c")])
+        grid = json.loads((tmp_path / "c_manifest.json").read_text())["sweep_grid"]
+        assert grid == list(PROFILES["desk"]["grids"]["r"])
 
     def test_compare_takes_r_scale_from_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

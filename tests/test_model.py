@@ -53,8 +53,18 @@ class TestScenario:
             assert np.all(np.linalg.eigvalsh(model.trueR(k)) > 0)
 
     def test_sample_time_must_be_positive(self):
-        with pytest.raises(ValueError):
-            build_cv_scenario(0.0, 500)
+        """The scenario owns its settings' rules: sample_time is one real number above 0,
+        and cosine_period an integer of at least 1."""
+        for sample_time, cosine_period, name in [
+            (0.0, 500, "sample_time"),
+            ([1.0], 500, "sample_time"),
+            (math.nan, 500, "sample_time"),
+            (1.0, 2.5, "cosine_period"),
+            (1.0, True, "cosine_period"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                build_cv_scenario(sample_time, cosine_period)
+        assert build_cv_scenario(1.0, 500).n == 4
 
 
 class TestDefaults:
