@@ -4,8 +4,8 @@ Trials are deterministic given (config, filter id, trial index). Truth
 and noise come from a stream keyed by (base_seed, trial_index) only, so
 all filters see identical trajectories (common random numbers), while a
 triggered filter draws each trial's trigger uniforms as one table from a
-filter-local stream. All four filters run through one engine, this
-module's _run_rows loop, the one place where rows leave and join a round.
+filter-local stream. All four filters run through one engine, the sweep
+loop in run_trials, the one place where rows leave and join a round.
 A row's step is: predict x_hat^-, decide on H x_hat^-, update. A filter id
 selects the prediction and update (predict and one sweep a round, or
 kf_predict and one measurement_update with nominal or true covariances)
@@ -207,7 +207,7 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
         return (
             initial_state(x0_hat, p0, fcfg),
             begin,
-            lambda it, inputs: sweep(it, *inputs[:3], fcfg),
+            lambda it, sent, e, h, kr: sweep(it, sent, e, h, fcfg),
             lambda it: (FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha), it.sweeps),
             filter_id == FILTER_ETVBF,
         )
@@ -221,13 +221,12 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
         work = kf_predict(state, f, q_tab.take(kr, axis=0))
         return work, work.x_hat
 
-    def advance(work, inputs):
-        sent, e, h, kr = inputs[:4]
+    def advance(work, sent, e, h, kr):
         r, y = r_tab.take(kr, axis=0), fcfg.trigger.Y
         work.x_hat, work.P = measurement_update(work.x_hat, work.P, r, e, sent, h, y)[:2]
         if not np.isfinite(work.P).all():  # an overflowed covariance, as a huge Q can make it
             raise NotPositiveDefinite("P: matrix contains non-finite entries")
-        return True
+        return np.ones(sent.size, dtype=bool)
 
     return kf_state, begin, advance, lambda work: (work, 0), nominal
 
@@ -240,18 +239,18 @@ def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialR
 def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[TrialRecord]:
     """Simulate the closed sensor-estimator loops of several trials as one ragged stack.
 
-    The trials' rows run through _run_rows together, each at its own step
-    k: a row that finishes step k is recorded there and starts k+1 in the
-    next round. A triggered filter draws each trial's n_step trigger
-    uniforms at once from the trial's own stream. F_k, H_k (and the
-    oracle's Q_k, R_k) come from tables built once per run. Every filter
-    starts from the same estimate, drawn from the truth stream before the
-    trajectory, and sees the same truth. When a round raises
-    NotPositiveDefinite or Singular, a lone trial is recorded failed at
-    its first unrecorded step with the exception text; otherwise each
-    trial still running is run again alone from its start, which gives
-    the record it has in any stack. A trial index that is not a
-    non-negative integer raises ValueError.
+    Each round advances every row once, each trial at its own step k: a
+    row that finishes step k is recorded there and starts k+1 in its place
+    for the next round, and a row past n_step leaves. A triggered filter
+    draws each trial's n_step trigger uniforms at once from the trial's
+    own stream. F_k, H_k (and the oracle's Q_k, R_k) come from tables
+    built once per run. Every filter starts from the same estimate, drawn
+    from the truth stream before the trajectory, and sees the same truth.
+    When a round raises NotPositiveDefinite or Singular, a lone trial is
+    recorded failed at its first unrecorded step with the exception text;
+    otherwise each trial still running is run again alone from its start,
+    which gives the record it has in any stack. A trial index that is not
+    a non-negative integer raises ValueError.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter id: {filter_id}")
@@ -283,8 +282,6 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         TrialRecord(t, filter_id, truth[i], estimate[i], gamma[i], iterations[i])
         for i, t in enumerate(trial_indices)
     ]
-    # Trial row i's step index kr is entry i * n_step + kr of the flat record arrays.
-    flat = estimate.reshape(-1, model.n), gamma.reshape(-1), iterations.reshape(-1)
 
     def enter(rows, kr, prev):
         """Start step kr + 1 of rows from prev: predict, then decide on H x_hat^-."""
@@ -295,25 +292,32 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
             sent = zeta[rows, kr] > trigger_probability(z_k - z_pred, fcfg.trigger)
         else:
             sent = np.ones(rows.size, dtype=bool)
-        e = innovation(sent, z_k, z_pred)
-        return work, (sent, e, h, kr, rows)
+        return work, sent, innovation(sent, z_k, z_pred), h
 
-    def retire(work, inputs):
-        """Record the rows that finished a step at their own k, and start their next step."""
-        kr, rows = inputs[-2], inputs[-1]
-        new, sweeps = finish(work)
-        at = rows * cfg.n_step + kr
-        flat[0][at], flat[1][at], flat[2][at] = new.x_hat, inputs[0], sweeps
-        go = kr < cfg.n_step - 1
-        if (going := np.count_nonzero(go)) < go.size:
-            if not going:
-                return None
-            rows, kr, new = rows[go], kr[go], take_rows(new, go)
-        return enter(rows, kr + 1, new)
-
-    rows = np.arange(count)
+    rows, kr = np.arange(count), np.zeros(count, dtype=int)
     try:
-        _run_rows(*enter(rows, 0 * rows, start), advance, retire)
+        work, sent, e, h = enter(rows, kr, start)
+        while rows.size:  # a round: one advance of every row, each at its own step kr + 1
+            done = np.flatnonzero(advance(work, sent, e, h, kr))
+            whole = done.size == rows.size
+            new, sweeps = finish(work if whole else take_rows(work, done))
+            at = rows[done], kr[done]
+            estimate[at], gamma[at], iterations[at] = new.x_hat, sent[done], sweeps
+            go = kr[done] < cfg.n_step - 1
+            if whole and go.all():  # every row starts its next step: the stack is replaced whole
+                kr += 1
+                work, sent, e, h = enter(rows, kr, new)
+                continue
+            if (joining := done[go]).size:  # these start their next step in the places they left
+                kr[joining] += 1
+                joined = enter(rows[joining], kr[joining], take_rows(new, go))
+                for array, value in zip((*vars(work).values(), sent, e, h),
+                                        (*vars(joined[0]).values(), *joined[1:])):
+                    array[joining] = value
+            if (leaving := done[~go]).size:  # these finished step n_step: the rest close up
+                keep = np.delete(np.arange(rows.size), leaving)
+                rows, kr, sent, e, h = rows[keep], kr[keep], sent[keep], e[keep], h[keep]
+                work = take_rows(work, keep)
     except (NotPositiveDefinite, Singular) as exc:
         if count == 1:  # at its first unrecorded step
             rec, k = records[0], int(np.isnan(estimate[0, :, 0]).argmax()) + 1
@@ -324,38 +328,6 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         if not any(r.failed for r in records):
             raise  # only trials that fail alone can have failed the round
     return records
-
-
-def _run_rows(work, inputs, advance, retire) -> None:
-    """The sweep loop: rounds of advance on every row, until retire starts no more rows.
-
-    inputs are per-row arrays, the last the rows' ids. advance(work, inputs)
-    runs a round, rebinding the arrays of work it changes, and returns which
-    rows finished: a mask, or True for all. retire, the one place rows leave
-    and join, takes them (their arrays are the results) and returns the work
-    and inputs of at most as many rows starting a step, or None; these take
-    the places that left, in arrays the loop owns, and the rest close up.
-    Rows that all finish together reach retire as they are, unstacked.
-    """
-    while True:
-        done = advance(work, inputs)
-        if done is True or np.count_nonzero(done) == done.size:
-            joining = retire(work, inputs)
-            if joining is None:
-                return
-            work, inputs = joining
-            continue
-        left = np.flatnonzero(done)
-        if left.size:
-            joining = retire(take_rows(work, left), tuple(a[left] for a in inputs))
-            places = left[: 0 if joining is None else joining[1][-1].size]
-            if places.size:
-                to, new = (*vars(work).values(), *inputs), (*vars(joining[0]).values(), *joining[1])
-                for array, rows in zip(to, new):
-                    array[places] = rows
-            if places.size < left.size:
-                keep = np.delete(np.arange(done.size), left[places.size :])
-                work, inputs = take_rows(work, keep), tuple(a[keep] for a in inputs)
 
 
 def compute_metrics(records: list[TrialRecord]) -> tuple[float, float, float]:

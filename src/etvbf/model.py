@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SeededRng
-from .numerics import is_integer, is_real, spd_factor
+from .numerics import NotPositiveDefinite, is_integer, is_real, spd_factor
 
 __all__ = [
     "ModelSpec",
@@ -56,15 +56,26 @@ def build_cv_scenario(sample_time: float, cosine_period: int) -> ModelSpec:
     """
     if not (is_real(sample_time) and sample_time > 0):
         raise ValueError(f"sample_time must be one real number above 0, got {sample_time!r}")
-    if not (is_integer(cosine_period) and cosine_period >= 1):
-        raise ValueError(f"cosine_period must be an integer of at least 1, got {cosine_period!r}")
-    t = sample_time
+    if not (is_integer(cosine_period) and is_real(cosine_period) and cosine_period >= 1):
+        raise ValueError(
+            f"cosine_period must be an integer of at least 1 that a float holds, "
+            f"got {cosine_period!r}"
+        )
+    t = float(sample_time)  # an int cubes exactly, to an int too large to divide by 3.0
+    if not math.isfinite(6.5 * (t * t * t / 3.0)):  # the first entry of the true Q_k to overflow
+        raise ValueError(f"sample_time {sample_time!r} overflows the true process noise")
     eye2 = np.eye(2)
     f_mat = np.block([[eye2, t * eye2], [np.zeros((2, 2)), eye2]])
     h_mat = np.hstack([eye2, np.zeros((2, 2))])
     q_base = np.block(
-        [[(t**3 / 3.0) * eye2, (t**2 / 2.0) * eye2], [(t**2 / 2.0) * eye2, t * eye2]]
+        [[(t * t * t / 3.0) * eye2, (t * t / 2.0) * eye2], [(t * t / 2.0) * eye2, t * eye2]]
     )
+    try:  # the true Q_k ranges over 5.5 q_base to 6.5 q_base
+        spd_factor(np.array([5.5 * q_base, 6.5 * q_base]))
+    except NotPositiveDefinite as exc:
+        raise ValueError(
+            f"sample_time {sample_time!r} gives a true process noise that is not positive definite"
+        ) from exc
     r_base = np.array([[1.0, 0.5], [0.5, 1.0]])
 
     def true_q(k: int) -> np.ndarray:

@@ -231,12 +231,14 @@ class TestRaggedEngine:
     def test_rounds_follow_the_slowest_trial_not_each_steps_slowest_row(self, monkeypatch):
         """Each trial advances on its own, so the engine runs as many sweep rounds as the
         largest per-trial sum of sweeps, not the sum over k of each step's largest count."""
-        rows_per_round = []
+        rows_per_round, whole_rounds = [], []
         real = harness.sweep
 
         def spy(it, *args):
             rows_per_round.append(it.sweeps.size)
-            return real(it, *args)
+            done = real(it, *args)
+            whole_rounds.append(bool(done.all()))
+            return done
 
         monkeypatch.setattr(harness, "sweep", spy)
         records = run_trials(ExperimentConfig(y_scale=0.005), "etvbf", range(20))
@@ -244,6 +246,24 @@ class TestRaggedEngine:
         assert len(rows_per_round) == sweeps.sum(axis=1).max()
         assert len(rows_per_round) < sweeps.max(axis=0).sum()
         assert sum(rows_per_round) == sweeps.sum()  # every row sweep runs once
+        # Both of the loop's paths run: the stack replaced whole, and rows joining in place.
+        assert any(whole_rounds) and not all(whole_rounds)
+
+    @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
+    def test_kalman_rounds_are_whole_steps(self, monkeypatch, filter_id):
+        """A Kalman row finishes its step in one update, so every round is one step of all
+        the rows."""
+        rows_per_round = []
+        real = harness.measurement_update
+
+        def spy(x_hat, *args):
+            rows_per_round.append(len(x_hat))
+            return real(x_hat, *args)
+
+        monkeypatch.setattr(harness, "measurement_update", spy)
+        cfg = ExperimentConfig(n_step=30, base_seed=3)
+        run_trials(cfg, filter_id, range(7))
+        assert rows_per_round == [7] * cfg.n_step
 
 
 def check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures, mid_step=False):
@@ -507,11 +527,35 @@ class TestConfig:
             {"r_scale": -150.0},
             {"r_scale": 0.0},
             {"y_scale": -0.015},
+            {"sample_time": 1e-300},
+            {"sample_time": 1e-120},
+            {"sample_time": 1e-110},
+            {"sample_time": 1e103},
+            {"sample_time": 1e150},
+            {"sample_time": 1e200},
+            {"cosine_period": 10**309},
+            {"cosine_period": 10**400},
         ],
     )
     def test_out_of_domain_tuning_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        """A ValueError names the field, or the matrix built from it: r0 = r_scale I, Y =
+        y_scale I. An overflowing or underflowing scenario raises no other error."""
+        (name,) = bad
+        with pytest.raises(ValueError, match={"r_scale": "r0", "y_scale": "Y"}.get(name, name)):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [{"sample_time": 1e-105}, {"sample_time": 1e102}, {"cosine_period": 10**308}],
+        ids=["sample-time-1e-105", "sample-time-1e102", "cosine-period-1e308"],
+    )
+    def test_scenario_edges_run_every_filter(self, edge):
+        """The extremes the scenario's rules accept run all four filters with no uncaught
+        error or numpy warning; a filter may record its breakdown."""
+        cfg = ExperimentConfig(n_step=10, **edge)
+        for filter_id in FILTER_IDS:
+            records = run_trials(cfg, filter_id, range(2))
+            assert [r.trial_index for r in records] == [0, 1]
 
     @pytest.mark.parametrize(
         "bad",

@@ -53,14 +53,25 @@ class TestScenario:
             assert np.all(np.linalg.eigvalsh(model.trueR(k)) > 0)
 
     def test_sample_time_must_be_positive(self):
-        """The scenario owns its settings' rules: sample_time is one real number above 0,
-        and cosine_period an integer of at least 1."""
+        """The scenario owns its settings' rules: sample_time is one real number above 0
+        whose true process noise is finite and positive definite, and cosine_period an
+        integer of at least 1 that a float holds. Each raises ValueError naming the
+        field, not an OverflowError or a NotPositiveDefinite."""
         for sample_time, cosine_period, name in [
             (0.0, 500, "sample_time"),
             ([1.0], 500, "sample_time"),
             (math.nan, 500, "sample_time"),
+            (1e-300, 500, "sample_time"),
+            (1e-120, 500, "sample_time"),
+            (1e-110, 500, "sample_time"),
+            (1e103, 500, "sample_time"),
+            (1e150, 500, "sample_time"),
+            (1e200, 500, "sample_time"),
+            (10**103, 500, "sample_time"),
             (1.0, 2.5, "cosine_period"),
             (1.0, True, "cosine_period"),
+            (1.0, 10**309, "cosine_period"),
+            (1.0, 10**400, "cosine_period"),
         ]:
             with pytest.raises(ValueError, match=name):
                 build_cv_scenario(sample_time, cosine_period)
