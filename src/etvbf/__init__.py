@@ -4,7 +4,6 @@ from .baselines import KfState, kf_predict
 from .filter import (
     FilterConfig,
     FilterState,
-    StepDiagnostics,
     etvbf_step,
     initial_state,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "FilterState",
     "KfState",
     "ModelSpec",
-    "StepDiagnostics",
     "SweepRow",
     "Trajectory",
     "TrialRecord",

@@ -24,7 +24,6 @@ with predict and sweep in its own row loop, where rows leave and join.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "FilterConfig",
     "FilterState",
     "IterationState",
-    "StepDiagnostics",
     "initial_state",
     "predict",
     "measurement_update",
@@ -55,6 +53,7 @@ __all__ = [
     "update_mixture",
     "check_convergence",
     "sweep",
+    "posterior",
     "etvbf_step",
 ]
 
@@ -90,12 +89,14 @@ class FilterConfig:
             raise ValueError(f"max_iterations must be an integer of at least 1, got {steps!r}")
         if self.r0.shape != self.trigger.Y.shape:
             raise ValueError("r0 must be shaped like the trigger's Y")
-        with np.errstate(over="ignore"):  # a finite dof_g can still be too large
+        with np.errstate(over="ignore"):  # finite settings can still have a product too large
             scaled_q = self.dof_g * self.nominal_q
-        if not np.isfinite(scaled_q).all():
-            raise ValueError("dof_g is too large: its scaled bank dof_g * nominal_q overflows")
-        if not math.isfinite(m_size * self.alpha0):
-            raise ValueError("alpha0 is too large: its Dirichlet sum overflows")
+            products = (("scaled bank dof_g * nominal_q", scaled_q),
+                        ("initial scale s0 * r0", self.s0 * self.r0),
+                        ("Dirichlet sum M * alpha0", m_size * self.alpha0))
+        for name, product in products:
+            if not np.isfinite(product).all():
+                raise ValueError(f"the {name} overflows")
         object.__setattr__(self, "scaled_q", scaled_q)
 
 
@@ -136,17 +137,7 @@ class IterationState:
     alpha: np.ndarray
     p_tilde: np.ndarray  # the working predicted covariance: fpf + sum_j chi_j Qbar_j at sweep zero
     r_tilde: np.ndarray  # S / s, the working measurement covariance; s = s_prior + 1 once swept
-    sweeps: np.ndarray  # sweeps run: 0 from predict, one count per row of a stack
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Read-only per-step extras for the experiment harness."""
-
-    iterations: np.integer  # sweeps run
-    p_tilde: np.ndarray
-    r_tilde: np.ndarray
-    chi: np.ndarray
+    iterations: np.ndarray  # sweeps run: 0 from predict, one count per row of a stack
 
 
 def initial_state(x0_hat: np.ndarray, p0: np.ndarray, cfg: FilterConfig) -> FilterState:
@@ -204,7 +195,7 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
         s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
         x=x_pred, P=p0, S=S_prior, chi=chi0, alpha=alpha_prior,
         p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior),
-        sweeps=np.zeros(chi0.shape[:-1], dtype=int),
+        iterations=np.zeros(chi0.shape[:-1], dtype=int),
     )
 
 
@@ -324,8 +315,13 @@ def sweep(it: IterationState, sent, e, H: np.ndarray, cfg: FilterConfig):
     update_meas_cov(it, B)
     update_predicted_cov(it, cfg)
     update_mixture(it, cfg)
-    it.sweeps = it.sweeps + 1
-    return check_convergence(it.x, x_prev, cfg.tol) | (it.sweeps == cfg.max_iterations)
+    it.iterations = it.iterations + 1
+    return check_convergence(it.x, x_prev, cfg.tol) | (it.iterations == cfg.max_iterations)
+
+
+def posterior(it: IterationState) -> FilterState:
+    """The state a step carries forward: its latest sweep's iterates, and dof s_prior + 1."""
+    return FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
 
 
 def etvbf_step(
@@ -334,11 +330,13 @@ def etvbf_step(
     H: np.ndarray,
     outcome: TriggerOutcome,
     cfg: FilterConfig,
-) -> tuple[FilterState, StepDiagnostics]:
+) -> tuple[FilterState, IterationState]:
     """One full filter step of a single state: prediction, then sweeps until it stops.
 
-    A stacked state raises ValueError: run_trials, or predict and sweep,
-    step stacks.
+    Returns the posterior and the step's IterationState, whose priors and
+    last sweep's iterates (iterations, p_tilde, r_tilde, chi, ...) the
+    posterior shares. A stacked state raises ValueError: run_trials, or
+    predict and sweep, step stacks.
     """
     if state.x_hat.ndim != 1:
         raise ValueError(
@@ -350,5 +348,4 @@ def etvbf_step(
     e = innovation(sent, outcome.measurement, np.matvec(H, it.x_pred))
     while not sweep(it, sent, e, H, cfg):
         pass
-    new_state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
-    return new_state, StepDiagnostics(it.sweeps, it.p_tilde, it.r_tilde, it.chi)
+    return posterior(it), it

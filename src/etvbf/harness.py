@@ -30,7 +30,7 @@ import numpy as np
 from .baselines import KfState, kf_predict
 from .distributions import SeededRng, sample_gaussian
 from .filter import (
-    FilterConfig, FilterState, initial_state, innovation, measurement_update, predict, sweep,
+    FilterConfig, initial_state, innovation, measurement_update, posterior, predict, sweep,
     take_rows,
 )
 from .model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
@@ -99,6 +99,9 @@ class ExperimentConfig:
         for name in ("sweep_grid", "nominal_q_scales"):  # each value kept as given
             if bad := [v for v in getattr(self, name) if not is_real(v)]:
                 raise ValueError(f"{name} must be a list of real numbers, not of {bad!r}")
+        if not (self.nominal_q_scales and min(self.nominal_q_scales) > 0):
+            raise ValueError("nominal_q_scales must be a nonempty list of real numbers above 0, "
+                             f"got {list(self.nominal_q_scales)!r}")
         if not self.filters:
             raise ValueError(f"filters must name at least one of {FILTER_IDS}")
         if unknown := [f for f in self.filters if f not in FILTER_IDS]:  # compared, not hashed
@@ -111,11 +114,12 @@ class ExperimentConfig:
             raise ValueError("a sweep_grid needs a sweep_param")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
-        if not (is_real(q := self.clset_q_scale) and q > 0):  # kept as given
-            raise ValueError(f"clset_q_scale must be one real number above 0, got {q!r}")
-        for name in ("r_scale", "y_scale"):  # the scales of r0 and Y, whose rules judge the rest
-            if not is_real(value := getattr(self, name)):  # kept as given: an int stays an int
-                raise ValueError(f"{name} must be one real number, got {value!r}")
+        # The scales of the nominal matrices, kept as given: an int stays an int. Y may be 0.
+        for name, zero_ok in (("clset_q_scale", False), ("r_scale", False), ("y_scale", True)):
+            value = getattr(self, name)
+            if not (is_real(value) and (value > 0 or zero_ok and value == 0)):
+                rule = "of at least 0" if zero_ok else "above 0"
+                raise ValueError(f"{name} must be one real number {rule}, got {value!r}")
         build_filter_config(self)  # builds the scenario, the FilterConfig and its TriggerConfig
         for value in self.sweep_grid:
             _sweep_point(self, value)  # each grid value meets its field's own rule
@@ -208,7 +212,7 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
             initial_state(x0_hat, p0, fcfg),
             begin,
             lambda it, sent, e, h, kr: sweep(it, sent, e, h, fcfg),
-            lambda it: (FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha), it.sweeps),
+            lambda it: (posterior(it), it.iterations),
             filter_id == FILTER_ETVBF,
         )
     kf_state = KfState(x_hat=x0_hat, P=np.broadcast_to(p0, x0_hat.shape[:1] + p0.shape).copy())

@@ -16,6 +16,7 @@ from etvbf.filter import (
     initial_state,
     innovation,
     measurement_update,
+    posterior,
     predict,
     take_rows,
     update_meas_cov,
@@ -736,6 +737,8 @@ class TestStepOrchestration:
 
         A sent step sweeps more than once and a silent one stops after one
         sweep, as x stays at the prediction; the count is a numpy integer.
+        The returned diag is the step's sweep state, and posterior(diag) is
+        the returned state, field by field and bit for bit.
         """
         cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
                           rho=0.997, y_scale=0.015)
@@ -745,10 +748,15 @@ class TestStepOrchestration:
         state = initial_state(x0, p0, cfg)
         outcome = TriggerOutcome(gamma=gamma, measurement=h @ f @ x0 + 30.0 if gamma else None)
         before = field_bytes(state, outcome)
-        _, diag = etvbf_step(state, f, h, outcome, cfg)
+        new_state, diag = etvbf_step(state, f, h, outcome, cfg)
+        assert isinstance(diag, IterationState)
         assert isinstance(diag.iterations, np.integer)
         assert (diag.iterations > 1) == bool(gamma)
         assert field_bytes(state, outcome) == before
+        carried = posterior(diag)
+        for name, value in vars(new_state).items():
+            a, b = np.asarray(getattr(carried, name)), np.asarray(value)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_stacked_state_rejected(self):
         """etvbf_step steps one state; a stack is pointed to run_trials, or predict and

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 import warnings
 import zlib
 
@@ -218,7 +219,7 @@ class TestLockstep:
         real = harness.sweep
 
         def stacked_only(it, *args):
-            if it.sweeps.size >= 2:
+            if it.iterations.size >= 2:
                 raise NotPositiveDefinite("stack breakdown")
             return real(it, *args)
 
@@ -235,7 +236,7 @@ class TestRaggedEngine:
         real = harness.sweep
 
         def spy(it, *args):
-            rows_per_round.append(it.sweeps.size)
+            rows_per_round.append(it.iterations.size)
             done = real(it, *args)
             whole_rounds.append(bool(done.all()))
             return done
@@ -286,7 +287,7 @@ def check_failing_row_recorded_alone(monkeypatch, filter_id, name, failures, mid
     def forced(work, *args):
         marks = work.x_pred if mid_step else work.x_hat
         hit = np.all(marks[..., None, :] == targets, axis=-1).any(axis=-1)
-        if (hit & (work.sweeps >= 1) if mid_step else hit).any():
+        if (hit & (work.iterations >= 1) if mid_step else hit).any():
             raised.append(work)
             raise NotPositiveDefinite("forced breakdown")
         return real(work, *args)
@@ -535,13 +536,18 @@ class TestConfig:
             {"sample_time": 1e200},
             {"cosine_period": 10**309},
             {"cosine_period": 10**400},
+            {"y_scale": -1e-13},
+            {"nominal_q_scales": [-1.0, 2.0]},
+            {"nominal_q_scales": []},
+            {"sweep_param": "r", "sweep_grid": [10.0, -1.0]},
         ],
     )
     def test_out_of_domain_tuning_rejected_at_construction(self, bad):
-        """A ValueError names the field, or the matrix built from it: r0 = r_scale I, Y =
-        y_scale I. An overflowing or underflowing scenario raises no other error."""
-        (name,) = bad
-        with pytest.raises(ValueError, match={"r_scale": "r0", "y_scale": "Y"}.get(name, name)):
+        """A ValueError names the field, not a matrix built from it (r0 = r_scale I, Y =
+        y_scale I, the bank of nominal_q_scales), and a grid value the field it sets. An
+        overflowing or underflowing scenario raises no other error."""
+        name = harness.SWEEP_FIELDS[bad["sweep_param"]] if "sweep_param" in bad else next(iter(bad))
+        with pytest.raises(ValueError, match=name):
             ExperimentConfig(**bad)
 
     @pytest.mark.parametrize(
@@ -710,6 +716,37 @@ class TestConfig:
             records = run_trials(cfg, "etvbf", range(2))
         assert [(r.failed, r.fail_step) for r in records] == [(True, 1), (True, 1)]
         assert {r.fail_reason for r in records} == {"p_tilde: matrix contains non-finite entries"}
+
+    @pytest.mark.parametrize(
+        "bad, product",
+        [
+            ({"s0": 1e307}, "s0 * r0"),
+            ({"r_scale": 1e308}, "s0 * r0"),
+            ({"nominal_q_scales": [1e308]}, "dof_g * nominal_q"),
+            ({"alpha0": 1e308}, "M * alpha0"),
+        ],
+    )
+    def test_overflowing_product_rejected_by_name(self, bad, product):
+        """A product of finite settings that overflows is rejected when built, naming the
+        product (1e307 * 150, 5 * 1e308, 10 * 1e308, 5 * 1e308). No OverflowError or
+        numpy warning comes first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(product)):
+                ExperimentConfig(**bad)
+
+    def test_finite_initial_scale_builds_and_breaks_down(self):
+        """s0 = 1e306 gives a finite s0 * r0 and builds, as dof_g = 1e306 does. The scale
+        S then overflows in a sweep, its non-finite iterates reach p_tilde, and run_trials
+        records every variational trial failed, naming p_tilde, and does not raise."""
+        cfg = ExperimentConfig(n_step=10, s0=1e306)
+        for filter_id in ("etvbf", "vbf"):
+            with pytest.warns(RuntimeWarning):  # an overflow, then invalid values from it
+                records = run_trials(cfg, filter_id, range(2))
+            assert all(r.failed for r in records)
+            assert {r.fail_reason for r in records} == {
+                "p_tilde: matrix contains non-finite entries"
+            }
 
     @pytest.mark.parametrize("rho", [1e-5, 1e-20])
     def test_underflowing_concentration_is_a_recorded_breakdown(self, rho):
