@@ -267,25 +267,27 @@ def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     tr(G_j E{P^{-1}}) = d <fpf, p_tilde^{-1}> + <d Qbar_j, p_tilde^{-1}>.
     One d for the whole bank makes every term but log_norm_j and
     <d Qbar_j, p_tilde^{-1}> the same for every component, n d log d / 2 of
-    d log|G_j| / 2 included, so they cancel when the weights are normalised:
-    log w_j = log_norm_j - <d Qbar_j, p_tilde^{-1}>/2 + psi(alpha_j) - psi(sum alpha).
-    A p_tilde that overflowed (a huge dof_g can make it) or an alpha that
-    underflowed (a tiny rho can make it) is a breakdown: NotPositiveDefinite.
+    d log|G_j| / 2 included, and so is psi(sum alpha) of E{log mu_j}, so they
+    cancel when the weights are normalised:
+    log w_j = log_norm_j - <d Qbar_j, p_tilde^{-1}>/2 + psi(alpha_j).
+    A p_tilde that overflowed (a huge dof_g can make it) or is not numerically
+    SPD (a sample_time of 1e102 can make it), or an alpha that underflowed (a
+    tiny rho can make it) is a breakdown: NotPositiveDefinite.
     """
+    if not np.isfinite(it.p_tilde).all():
+        raise NotPositiveDefinite("p_tilde: matrix contains non-finite entries")
     try:
-        p_inv = spd_factor(it.p_tilde).inverse()
-    except ValueError as exc:  # built symmetric, p_tilde fails these checks only by overflow
+        np.linalg.cholesky(it.p_tilde)  # the SPD check alone; inv does not use the factor
+        p_inv = np.linalg.inv(it.p_tilde)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"p_tilde: {exc}") from exc
-    m_size = it.alpha.shape[-1]
     try:
-        psi = digamma(np.concatenate([it.alpha, it.alpha.sum(axis=-1, keepdims=True)], axis=-1))
+        psi = digamma(it.alpha)
     except ValueError as exc:  # a concentration rho^k decays while its chi_j is 0 underflows
         raise NotPositiveDefinite(f"alpha: {exc}") from exc
     p_inv = p_inv.reshape(it.chi.shape[:-1] + (-1,))
     log_w = (
-        it.log_norm_j
-        - 0.5 * np.matvec(cfg.scaled_q.reshape(m_size, -1), p_inv)
-        + (psi[..., :m_size] - psi[..., m_size, None])
+        it.log_norm_j - 0.5 * np.matvec(cfg.scaled_q.reshape(psi.shape[-1], -1), p_inv) + psi
     )
     it.chi = normalize_log_weights(log_w)
     it.alpha = it.alpha_prior + it.chi

@@ -7,7 +7,10 @@ real breakdown of the filter iteration and must propagate. spd_factor
 factors finite, exactly symmetric input as it is, which is what the filter
 builds, and checks any other input's symmetry to a tolerance first; it
 rejects the same inputs either way. A factor's solve and inverse go through
-one explicit inverse of the triangular factor.
+one explicit inverse of the triangular factor. No code in the package calls
+SpdFactor.solve or .inverse any more: the mixture update inverts p_tilde
+directly. They stay only because the benchmark's tracer (bench/spans.py,
+bench/test_bench.py) names them, and they go when it no longer does.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from etvbf.filter import (
     measurement_update,
     posterior,
     predict,
+    sweep,
     take_rows,
     update_meas_cov,
     update_mixture,
@@ -651,6 +652,44 @@ class TestMixtureUpdate:
         assert expected.min() > 0.01  # no component is negligible, so each term shows
         assert np.allclose(it.chi, expected, atol=1e-10)
         assert np.allclose(it.alpha, it.alpha_prior + expected, atol=1e-10)
+
+    def test_sweep_rows_bitwise_their_own_stacks(self):
+        """One sweep of a mixed sent/silent 500-row stack gives each row bitwise what the
+        same rows give as 1-row and 7-row stacks, and what a sent and a silent row give
+        unstacked: the mixture's Cholesky check, inverse and digamma work row by row."""
+        rng = np.random.default_rng(34)
+        n, m, rows = 4, 2, 500
+        cfg = make_config(n=n, m=m, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
+                          rho=0.997, y_scale=0.015)
+        model = build_cv_scenario(1.0, 500)
+        f, h = model.F(1), model.H(1)
+        stack = FilterState(
+            x_hat=100.0 * rng.standard_normal((rows, n)),
+            P=np.array([random_spd(rng, n) for _ in range(rows)]),
+            s=rng.uniform(3.0, 9.0, rows),
+            S=np.array([150.0 * random_spd(rng, m) for _ in range(rows)]),
+            alpha=rng.uniform(0.5, 3.0, (rows, 5)),
+        )
+        sent = rng.random(rows) < 0.8
+        z = np.matvec(h, np.matvec(f, stack.x_hat)) + 20.0 * rng.standard_normal((rows, m))
+        z[~sent] = np.nan
+        fields = ("chi", "alpha", "p_tilde", "x", "P", "S")
+
+        def swept(part):
+            it = predict(take_rows(stack, part), f, cfg)
+            sweep(it, sent[part], innovation(sent[part], z[part], np.matvec(h, it.x_pred)), h, cfg)
+            return [getattr(it, name) for name in fields]
+
+        whole = swept(slice(None))
+        assert 0 < sent.sum() < rows
+        for size in (1, 7):
+            for start in range(0, rows, size):
+                part = slice(start, start + size)
+                for name, got, want in zip(fields, whole, swept(part)):
+                    assert got[part].tobytes() == want.tobytes(), (name, size, start)
+        for i in (np.flatnonzero(sent)[0], np.flatnonzero(~sent)[0]):
+            for name, got, want in zip(fields, whole, swept(i)):
+                assert (got[i].shape, got[i].tobytes()) == (want.shape, want.tobytes()), (name, i)
 
 
 class TestConvergence:

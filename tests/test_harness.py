@@ -690,6 +690,17 @@ class TestConfig:
         assert "non-finite" in records[1].fail_reason
         assert_same_record(records[1], alone)
 
+    def test_non_spd_predicted_covariance_is_a_recorded_breakdown(self):
+        """At sample_time = 1e102, which the scenario's rule accepts, p_tilde is finite
+        but not numerically SPD: every variational trial is recorded failed at step 1,
+        naming p_tilde, with no uncaught LinAlgError. Trial 4's p_tilde alone passes the
+        Cholesky check and is singular to the inverse, which is named the same way."""
+        cfg = ExperimentConfig(n_step=10, sample_time=1e102)
+        for filter_id in ("etvbf", "vbf"):
+            records = run_trials(cfg, filter_id, range(5))
+            assert [(r.failed, r.fail_step) for r in records] == [(True, 1)] * 5
+            assert all(r.fail_reason.startswith("p_tilde: ") for r in records), filter_id
+
     def test_overflowing_kalman_covariance_is_a_recorded_breakdown(self):
         """clset_q_scale = 1e308 builds, but the Kalman update's H P H^T overflows at step
         1: every clset-kf trial is recorded failed there, naming P, and the cell counts
