@@ -1,9 +1,8 @@
-"""Command-line entry points for single trials, parameter sweeps, and comparisons."""
+"""Command-line entry points: one trial (simulate) and Monte Carlo parameter sweeps (sweep)."""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -68,11 +67,6 @@ def _resolve_config(args, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _parse_filters(spec: str | None) -> tuple[str, ...] | None:
-    """Split a comma-separated list; ExperimentConfig checks the ids."""
-    return None if spec is None else tuple(f.strip() for f in spec.split(",") if f.strip())
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     record = run_trial(cfg, args.filter, args.trial)
@@ -84,35 +78,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = None
+    grid = filters = None
     if args.grid is not None:
         values = args.grid.split(",")
         if not all(v.strip() for v in values):
             raise ValueError(f"--grid {args.grid!r} has an empty value; list numbers, e.g. 0.1,0.2")
         grid = tuple(float(v) for v in values)
-    cfg = _resolve_config(
-        args,
-        sweep_param=args.param,
-        sweep_grid=grid,
-        filters=_parse_filters(args.filters),
-    )
+    if args.filters is not None:  # ExperimentConfig checks the ids
+        filters = tuple(f.strip() for f in args.filters.split(",") if f.strip())
+    cfg = _resolve_config(args, sweep_param=args.param, sweep_grid=grid, filters=filters)
     rows = run_sweep(cfg)
-    for path in emit_outputs(rows, args.out, cfg):
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(
-        args, y_scale=args.y, r_scale=args.r, filters=_parse_filters(args.filters)
-    )
-    cfg = dataclasses.replace(cfg, sweep_param="y", sweep_grid=(cfg.y_scale,))
-    rows = run_sweep(cfg)
-    print(f"{'filter':<12} {'rmse':>10} {'comm_rate':>10} {'mean_iter':>10} {'fail':>5}")
+    print(f"{'sweep_value':<12} {'filter':<12} {'rmse':>10} {'comm_rate':>10} "
+          f"{'mean_iter':>10} {'fail':>5}")
     for row in rows:
         print(
-            f"{row.filter:<12} {row.rmse:>10.4f} {row.comm_rate:>10.4f} "
-            f"{row.mean_iterations:>10.3f} {row.failures:>5d}"
+            f"{row.sweep_value:<12.6g} {row.filter:<12} {row.rmse:>10.4f} "
+            f"{row.comm_rate:>10.4f} {row.mean_iterations:>10.3f} {row.failures:>5d}"
         )
     for path in emit_outputs(rows, args.out, cfg):
         print(f"wrote {path}")
@@ -139,13 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--filters", help="comma-separated filter ids")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="all filters at one (y, r) setting")
-    p_cmp.add_argument("--y", type=float, help="trigger scale factor; default from the config")
-    p_cmp.add_argument("--r", type=float, help="nominal noise scale; default from the config")
-    p_cmp.add_argument("--filters", help="comma-separated filter ids")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
 
     return parser
 

@@ -2,9 +2,9 @@
 
 The mixture update, which forms its own inverse-Wishart and Dirichlet
 moments, normalises its log weights here, along any leading trial axes.
-Sampling is limited to what the simulation needs: Gaussian noise and the
-trigger's uniform draws, one at a time (SeededRng.uniform) or a trial's
-whole table at once (SeededRng.uniforms).
+Sampling draws from SeededRng, a numpy Generator keyed by the trial:
+Gaussian noise (standard_normal) and the trigger's uniform draws, one at a
+time (random()) or a trial's whole table at once (random(n)).
 """
 
 from __future__ import annotations
@@ -20,27 +20,15 @@ __all__ = [
 ]
 
 
-class SeededRng:
-    """Deterministic random stream keyed by an integer or tuple of integers.
+class SeededRng(np.random.Generator):
+    """A numpy Generator keyed by an integer or tuple of integers: PCG64(SeedSequence(seed)).
 
     Identical keys produce identical streams across runs and platforms.
     An instance is single-owner mutable state: one per trial, never shared.
     """
 
     def __init__(self, seed):
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def uniform(self) -> float:
-        """Uniform draw over [0, 1)."""
-        return float(self._gen.random())
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next count uniform draws over [0, 1): bitwise count calls of uniform."""
-        return self._gen.random(count)
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return self._gen.standard_normal(size)
+        super().__init__(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:

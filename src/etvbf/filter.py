@@ -183,9 +183,14 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     so p_tilde starts at F P F^T + sum_j chi_j Qbar_j. Forgetting scales the
     dof, scale and concentrations by rho: s_prior = rho s, not the
     rho (s - m - 1) + m + 1 of Sarkka and Nummenmaa (IEEE TAC 2009).
+    A bank fpf + Qbar_j that is not SPD is a breakdown naming fpf + nominal_q.
     """
     fpf = symmetrize(F @ prev.P @ F.mT)
-    log_norm_j = 0.5 * cfg.dof_g * spd_factor(fpf[..., None, :, :] + cfg.nominal_q).log_det()
+    try:
+        bank = spd_factor(fpf[..., None, :, :] + cfg.nominal_q)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"fpf + nominal_q: {exc.__cause__}") from exc
+    log_norm_j = 0.5 * cfg.dof_g * bank.log_det()
     x_pred = np.matvec(F, prev.x_hat)
     s_prior, S_prior, alpha_prior = cfg.rho * prev.s, cfg.rho * prev.S, cfg.rho * prev.alpha
     chi0 = alpha_prior / alpha_prior.sum(axis=-1, keepdims=True)

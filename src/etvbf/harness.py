@@ -1,11 +1,12 @@
 """Monte Carlo experiment runner: trials, metrics, parameter sweeps, outputs.
 
 Trials are deterministic given (config, filter id, trial index). Truth
-and noise come from a stream keyed by (base_seed, trial_index) only, so
-all filters see identical trajectories (common random numbers), while a
-triggered filter draws each trial's trigger uniforms as one table from a
-filter-local stream. All four filters run through one engine, the sweep
-loop in run_trials, the one place where rows leave and join a round.
+and noise come from a SeededRng keyed by (base_seed, trial_index) only,
+so all filters see identical trajectories (common random numbers), while
+a triggered filter draws each trial's trigger uniforms as one table,
+random(n_step), from a filter-local SeededRng. All four filters run
+through one engine, the sweep loop in run_trials, the one place where
+rows leave and join a round.
 A row's step is: predict x_hat^-, decide on H x_hat^-, update. A filter id
 selects the prediction and update (predict and one sweep a round, or
 kf_predict and one measurement_update with nominal or true covariances)
@@ -276,7 +277,7 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
     )
     if triggered:  # one row of draws per trial, from each triggered filter's own streams
         key, n = zlib.crc32(filter_id.encode("utf-8")), cfg.n_step
-        zeta = np.array([SeededRng((cfg.base_seed, t, key)).uniforms(n) for t in trial_indices])
+        zeta = np.array([SeededRng((cfg.base_seed, t, key)).random(n) for t in trial_indices])
     f_tab, h_tab = (np.array([m(k) for k in range(1, cfg.n_step + 1)]) for m in (model.F, model.H))
 
     count = len(trial_indices)

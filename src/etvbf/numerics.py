@@ -56,8 +56,11 @@ def is_real(v) -> bool:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average away roundoff-level asymmetry: (M + M^T)/2, per matrix of a stack."""
-    return 0.5 * (m + m.mT)
+    """Average away roundoff-level asymmetry as M/2 + M^T/2, per matrix of a stack.
+
+    Halving first overflows for no finite M; it is bitwise (M + M^T)/2 where M/2 is normal."""
+    half = 0.5 * m
+    return half + half.mT
 
 
 def _symmetric_scale(m: np.ndarray, name: str) -> np.ndarray:
@@ -150,7 +153,7 @@ def spd_factor(m: np.ndarray) -> SpdFactor:
     """
     m = np.asarray(m, dtype=float)
     nonempty_square = m.size > 0 and m.ndim >= 2 and m.shape[-1] == m.shape[-2]
-    # symmetrize would return exactly symmetric input unchanged: 0.5 (a + a) = a.
+    # symmetrize would return exactly symmetric input unchanged: a/2 + a/2 = a.
     if not (nonempty_square and np.isfinite(m).all() and (m == m.mT).all()):
         _symmetric_scale(m, "matrix")
         m = symmetrize(m)

@@ -77,6 +77,6 @@ def sensor_decide(
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"sensor_decide decides one measurement, not an array of {z.shape}")
-    if rng.uniform() <= trigger_probability(z - z_pred, cfg):
+    if rng.random() <= trigger_probability(z - z_pred, cfg):
         return _SILENT
     return TriggerOutcome(gamma=1, measurement=z)

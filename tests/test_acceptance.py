@@ -370,7 +370,7 @@ def _pinned_gain_final_errors(trials):
         max_iterations=1,
     )
     schedule_rng = SeededRng(808)
-    schedule = tuple(schedule_rng.uniform() < 0.5 for _ in range(steps))
+    schedule = tuple(schedule_rng.random() < 0.5 for _ in range(steps))
     x0_hat, finals, measurements = [], [], []
     for trial in trials:
         rng = SeededRng((PRIMARY_SEED, trial))

@@ -167,24 +167,30 @@ class TestSampling:
         assert np.linalg.norm(sample_cov - cov) < 0.05 * np.linalg.norm(cov)
 
     def test_uniform_deterministic_under_seed(self):
-        assert SeededRng(9).uniform() == SeededRng(9).uniform()
+        assert SeededRng(9).random() == SeededRng(9).random()
 
     def test_uniform_moments(self):
         rng = SeededRng(77)
-        draws = np.array([rng.uniform() for _ in range(10**5)])
+        draws = np.array([rng.random() for _ in range(10**5)])
         assert abs(draws.mean() - 0.5) < 0.005
         assert abs(np.mean(draws < 0.25) - 0.25) < 0.006
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
     @pytest.mark.parametrize("key", [0, 9, (20240, 3), (20240, 3, 3503022401)])
     def test_uniforms_are_bitwise_single_draws(self, key):
-        """A table of n draws holds the doubles of n uniform calls, and the stream goes on alike."""
+        """A table of n draws, random(n), holds the doubles of n random() calls, and the
+        stream goes on alike. The key is numpy's PCG64(SeedSequence(key)), which the
+        golden outputs rely on."""
         table, single = SeededRng(key), SeededRng(key)
-        draws = table.uniforms(150)
-        assert draws.tobytes() == np.array([single.uniform() for _ in range(150)]).tobytes()
-        assert table.uniform() == single.uniform()
+        draws = table.random(150)
+        assert draws.tobytes() == np.array([single.random() for _ in range(150)]).tobytes()
+        assert table.random() == single.random()
+        ours = SeededRng(key)
+        keyed = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        assert ours.random(151).tobytes() == keyed.random(151).tobytes()
+        assert ours.standard_normal(7).tobytes() == keyed.standard_normal(7).tobytes()
 
     def test_tuple_seeds_give_distinct_streams(self):
-        a = SeededRng((1, 2)).uniform()
-        b = SeededRng((1, 3)).uniform()
+        a = SeededRng((1, 2)).random()
+        b = SeededRng((1, 3)).random()
         assert a != b

@@ -668,19 +668,27 @@ class TestConfig:
         cfg = ExperimentConfig(r_scale=150)
         assert json.dumps(dataclasses.asdict(cfg)["r_scale"]) == "150"
 
-    @pytest.mark.parametrize("name", ["dof_g", "alpha0"])
-    def test_large_finite_prior_runs_clean(self, name):
+    @pytest.mark.parametrize(
+        "name, value", [("dof_g", 1e300), ("alpha0", 1e300), ("s0", 1e306)],
+        ids=["dof_g", "alpha0", "s0"],
+    )
+    def test_large_finite_prior_runs_clean(self, name, value):
         """A dof_g or alpha0 of 1e300 keeps its derived terms finite: its trials run with
-        no numpy warning (the suite turns one into an error) and no failure."""
-        records = run_trials(ExperimentConfig(n_step=10, **{name: 1e300}), "etvbf", range(2))
-        assert not any(r.failed for r in records)
-        assert all(np.isfinite(r.estimate).all() for r in records)
+        no numpy warning (the suite turns one into an error) and no failure. So does an
+        s0 of 1e306, whose finite s0 * r0 builds: the scale S = S_prior + B, with entries
+        near 1e306, is symmetrized without forming an overflowing S + S^T."""
+        cfg = ExperimentConfig(n_step=10, **{name: value})
+        for filter_id in ("etvbf", "vbf"):
+            records = run_trials(cfg, filter_id, range(2))
+            assert not any(r.failed for r in records), filter_id
+            assert all(np.isfinite(r.estimate).all() for r in records), filter_id
 
     def test_overflowing_iterate_is_a_recorded_breakdown(self):
-        """dof_g = 1e305 passes the construction rule, but trial 1's p_tilde overflows at
-        step 4: run_trials records that failure, naming p_tilde, and does not raise. The
-        overflow warns, which the suite would otherwise turn into an error."""
-        cfg = ExperimentConfig(n_step=10, dof_g=1e305)
+        """dof_g = 2e305 passes the construction rule, but trial 1's p_tilde overflows at
+        step 4 (at 1e305 both trials run clean): run_trials records that failure, naming
+        p_tilde, and does not raise. The overflow warns, which the suite would otherwise
+        turn into an error."""
+        cfg = ExperimentConfig(n_step=10, dof_g=2e305)
         with pytest.warns(RuntimeWarning):
             records = run_trials(cfg, "etvbf", range(2))
             alone = run_trial(cfg, "etvbf", 1)
@@ -701,17 +709,32 @@ class TestConfig:
             assert [(r.failed, r.fail_step) for r in records] == [(True, 1)] * 5
             assert all(r.fail_reason.startswith("p_tilde: ") for r in records), filter_id
 
+    @pytest.mark.parametrize("sample_time", [1e10, 1e15], ids=["1e10", "1e15"])
+    def test_non_spd_bank_is_a_named_breakdown(self, sample_time):
+        """At a sample_time of 1e10 or 1e15, F P F^T grows until predict's bank
+        fpf + Qbar_j, or the p_tilde built from it, is not numerically SPD: every
+        variational trial is recorded failed, naming the matrix, not a bare
+        "matrix is not positive definite"."""
+        cfg = ExperimentConfig(n_step=10, sample_time=sample_time)
+        for filter_id in ("etvbf", "vbf"):
+            records = run_trials(cfg, filter_id, range(3))
+            assert all(r.failed for r in records), filter_id
+            reasons = [r.fail_reason for r in records]
+            assert all(r.startswith(("fpf + nominal_q: ", "p_tilde: ")) for r in reasons), reasons
+
     def test_overflowing_kalman_covariance_is_a_recorded_breakdown(self):
-        """clset_q_scale = 1e308 builds, but the Kalman update's H P H^T overflows at step
-        1: every clset-kf trial is recorded failed there, naming P, and the cell counts
-        them, where it used to report a NaN rmse with no failures."""
+        """clset_q_scale = 1e308 builds. Step 1's update keeps P finite, as its H P H^T,
+        near 1e308, is symmetrized without forming H P H^T + (H P H^T)^T; step 2's
+        prediction F P F^T + Q then overflows: every clset-kf trial is recorded failed
+        there, naming P, and the cell counts them, where it used to report a NaN rmse with
+        no failures."""
         cfg = ExperimentConfig(n_mc=3, n_step=10, clset_q_scale=1e308, filters=["clset-kf"],
                                sweep_param="y", sweep_grid=[0.015])
         with pytest.warns(RuntimeWarning):
             (row,) = run_sweep(cfg)
             records = run_trials(cfg, "clset-kf", range(3))
         assert row.failures == 3 and math.isnan(row.rmse)
-        assert [(r.failed, r.fail_step) for r in records] == [(True, 1)] * 3
+        assert [(r.failed, r.fail_step) for r in records] == [(True, 2)] * 3
         assert {r.fail_reason for r in records} == {"P: matrix contains non-finite entries"}
 
     @pytest.mark.parametrize("dof_g", [1e306, 1e307])
@@ -745,19 +768,6 @@ class TestConfig:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(product)):
                 ExperimentConfig(**bad)
-
-    def test_finite_initial_scale_builds_and_breaks_down(self):
-        """s0 = 1e306 gives a finite s0 * r0 and builds, as dof_g = 1e306 does. The scale
-        S then overflows in a sweep, its non-finite iterates reach p_tilde, and run_trials
-        records every variational trial failed, naming p_tilde, and does not raise."""
-        cfg = ExperimentConfig(n_step=10, s0=1e306)
-        for filter_id in ("etvbf", "vbf"):
-            with pytest.warns(RuntimeWarning):  # an overflow, then invalid values from it
-                records = run_trials(cfg, filter_id, range(2))
-            assert all(r.failed for r in records)
-            assert {r.fail_reason for r in records} == {
-                "p_tilde: matrix contains non-finite entries"
-            }
 
     @pytest.mark.parametrize("rho", [1e-5, 1e-20])
     def test_underflowing_concentration_is_a_recorded_breakdown(self, rho):
@@ -830,23 +840,18 @@ class TestCli:
         for suffix in (".csv", "_rmse.dat", "_comm_rate.dat", "_iterations.dat", "_manifest.json"):
             assert (tmp_path / f"sweep{suffix}").exists()
 
-    def test_compare_prints_table(self, tmp_path, capsys):
+    def test_sweep_prints_table(self, tmp_path, capsys):
+        """sweep prints one row per (grid value, filter): the value, then the filter id."""
         code = cli_main(
-            [
-                "compare",
-                "--filters",
-                "clset-kf,oracle-kf",
-                "--mc",
-                "1",
-                "--steps",
-                "8",
-                "--out",
-                str(tmp_path / "cmp"),
-            ]
+            ["sweep", "--param", "y", "--grid", "0.0005,0.015", "--filters",
+             "clset-kf,oracle-kf", "--mc", "1", "--steps", "8", "--out", str(tmp_path / "sw")]
         )
         assert code == 0
-        captured = capsys.readouterr().out
-        assert "clset-kf" in captured and "oracle-kf" in captured
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["sweep_value", "filter"]
+        rows = [line.split()[:2] for line in lines[1:5]]
+        assert rows == [["0.0005", "clset-kf"], ["0.0005", "oracle-kf"],
+                        ["0.015", "clset-kf"], ["0.015", "oracle-kf"]]
 
     def test_config_file_with_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -898,27 +903,28 @@ class TestCli:
         grid = json.loads((tmp_path / "c_manifest.json").read_text())["sweep_grid"]
         assert grid == list(PROFILES["desk"]["grids"]["r"])
 
-    def test_compare_takes_r_scale_from_config(self, tmp_path, capsys):
+    def test_sweep_takes_r_scale_from_config(self, tmp_path, capsys):
+        """A y sweep at one r: r_scale comes from the config file, y from the grid."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"r_scale": 10.0}))
-        out = tmp_path / "cmp"
         code = cli_main(
-            ["compare", "--filters", "clset-kf", "--mc", "1", "--steps", "8",
-             "--config", str(cfg_path), "--out", str(out)]
+            ["sweep", "--param", "y", "--grid", "0.015", "--filters", "clset-kf", "--mc", "1",
+             "--steps", "8", "--config", str(cfg_path), "--out", str(tmp_path / "sw")]
         )
         assert code == 0
-        manifest = json.loads((tmp_path / "cmp_manifest.json").read_text())
+        manifest = json.loads((tmp_path / "sw_manifest.json").read_text())
         assert manifest["r_scale"] == 10.0
+        assert manifest["sweep_grid"] == [0.015]
 
-    def test_compare_takes_y_scale_from_config(self, tmp_path, capsys):
+    def test_sweep_takes_y_scale_from_config(self, tmp_path, capsys):
+        """An r sweep at one y: y_scale comes from the config file, r from the grid."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"y_scale": 0.05}))
-        out = tmp_path / "cmp"
         code = cli_main(
-            ["compare", "--filters", "clset-kf", "--mc", "1", "--steps", "8",
-             "--config", str(cfg_path), "--out", str(out)]
+            ["sweep", "--param", "r", "--grid", "150", "--filters", "clset-kf", "--mc", "1",
+             "--steps", "8", "--config", str(cfg_path), "--out", str(tmp_path / "sw")]
         )
         assert code == 0
-        manifest = json.loads((tmp_path / "cmp_manifest.json").read_text())
+        manifest = json.loads((tmp_path / "sw_manifest.json").read_text())
         assert manifest["y_scale"] == 0.05
-        assert manifest["sweep_grid"] == [0.05]
+        assert (manifest["sweep_param"], manifest["sweep_grid"]) == ("r", [150.0])

@@ -150,4 +150,4 @@ class TestSimulateTruth:
             assert alone.states.shape == (25, model.n)
             assert np.array_equal(states, alone.states)
             assert np.array_equal(measurements, alone.measurements)
-            assert stream.uniform() == alone_rng.uniform()
+            assert stream.random() == alone_rng.random()

@@ -93,6 +93,27 @@ class TestMultivariateDigamma:
             multivariate_digamma(4, 1.5)
 
 
+class TestSymmetrize:
+    def test_huge_finite_matrix_stays_finite(self):
+        """A symmetric matrix of 1e308 is returned unchanged, with no overflow: halving
+        comes before the sum, which as M + M^T would overflow to inf."""
+        m = np.full((2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = symmetrize(m)
+        assert np.array_equal(out, m)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (50, 4, 4), (50, 5, 4, 4)], ids=["4x4", "50x4x4", "50x5x4x4"]
+    )
+    def test_bitwise_the_sum_form_in_normal_range(self, shape):
+        """On normal-range input, M/2 + M^T/2 is bitwise (M + M^T)/2, per matrix of a stack."""
+        m = np.random.default_rng(17).standard_normal(shape)
+        out = symmetrize(m)
+        assert out.tobytes() == (0.5 * (m + m.mT)).tobytes()
+        assert np.array_equal(out, out.mT)
+
+
 class TestSpdFactor:
     def test_identity(self):
         assert spd_factor(np.eye(3)).log_det() == pytest.approx(0.0, abs=1e-14)
