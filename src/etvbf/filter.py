@@ -71,11 +71,14 @@ class FilterConfig:
     trigger: TriggerConfig
     max_iterations: int = 50
     tol: float = 1e-6  # relative state-change threshold ending the sweep loop
-    scaled_q: np.ndarray = field(init=False, repr=False)  # (M, n, n) dof-scaled bank dof_g Qbar_j
+    # (M, n * n) dof-scaled bank dof_g Qbar_j, one flattened matrix per component, as sweeps read it
+    scaled_q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_q", require_spd(self.nominal_q, "nominal_q", ndim=3))
-        object.__setattr__(self, "r0", require_spd(self.r0, "r0"))
+        # Stored exactly symmetric (symmetrize keeps an exactly symmetric r0 as it is), so the
+        # carried S = s0 r0 is too, as update_meas_cov relies on.
+        object.__setattr__(self, "r0", symmetrize(require_spd(self.r0, "r0")))
         m_size, n = self.nominal_q.shape[:2]
         # Each scalar's one rule: a real number in (low, high], with no high bound but rho's.
         for name, low, high in (("dof_g", n - 1, None), ("alpha0", 0, None), ("s0", 0, None),
@@ -97,7 +100,7 @@ class FilterConfig:
         for name, product in products:
             if not np.isfinite(product).all():
                 raise ValueError(f"the {name} overflows")
-        object.__setattr__(self, "scaled_q", scaled_q)
+        object.__setattr__(self, "scaled_q", scaled_q.reshape(m_size, n * n))
 
 
 @dataclass(frozen=True)
@@ -115,14 +118,16 @@ class FilterState:
 class IterationState:
     """One step's variational posterior: the step's priors, then the iterates.
 
-    predict builds it at sweep zero. No sweep rebinds the priors (x_pred to
-    alpha_prior); the updates rebind the iterates and never write into any
-    array, so only the harness's row loop writes, into the arrays of its
-    latest sweep. A sweep derives the dofs s_prior + 1 and dof_g + 1.
+    predict builds it at sweep zero. No sweep rebinds the priors and per-step
+    constants (x_pred to alpha_prior); the updates rebind the iterates and
+    never write into any array, so only the harness's row loop writes, into
+    the arrays of its latest sweep. A sweep derives the dofs s_prior + 1 and
+    dof_g + 1.
     """
 
     x_pred: np.ndarray
-    fpf: np.ndarray  # F P F^T: component j's IW scale is G_j = dof_g (fpf + Qbar_j)
+    # dof_g F P F^T: component j's IW scale is G_j = scaled_fpf + dof_g Qbar_j
+    scaled_fpf: np.ndarray
     # dof_g log|fpf + Qbar_j| / 2: the part of component j's IW log normaliser,
     # dof_g log|G_j| / 2 - n dof_g log 2 / 2 - log Gamma_n(dof_g / 2), that is not
     # the same for every component (see update_mixture)
@@ -183,20 +188,23 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     so p_tilde starts at F P F^T + sum_j chi_j Qbar_j. Forgetting scales the
     dof, scale and concentrations by rho: s_prior = rho s, not the
     rho (s - m - 1) + m + 1 of Sarkka and Nummenmaa (IEEE TAC 2009).
-    A bank fpf + Qbar_j that is not SPD is a breakdown naming fpf + nominal_q.
+    A bank fpf + Qbar_j that is not SPD, or not finite (an F P F^T that
+    overflowed), is a breakdown naming fpf + nominal_q.
     """
     fpf = symmetrize(F @ prev.P @ F.mT)
     try:
         bank = spd_factor(fpf[..., None, :, :] + cfg.nominal_q)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"fpf + nominal_q: {exc.__cause__}") from exc
+    except ValueError as exc:  # spd_factor's check of non-finite input
+        raise NotPositiveDefinite(f"fpf + nominal_q: {exc}") from exc
     log_norm_j = 0.5 * cfg.dof_g * bank.log_det()
     x_pred = np.matvec(F, prev.x_hat)
     s_prior, S_prior, alpha_prior = cfg.rho * prev.s, cfg.rho * prev.S, cfg.rho * prev.alpha
     chi0 = alpha_prior / alpha_prior.sum(axis=-1, keepdims=True)
     p0 = fpf + (chi0[..., None, None] * cfg.nominal_q).sum(axis=-3)
     return IterationState(
-        x_pred=x_pred, fpf=fpf, log_norm_j=log_norm_j,
+        x_pred=x_pred, scaled_fpf=cfg.dof_g * fpf, log_norm_j=log_norm_j,
         s_prior=s_prior, S_prior=S_prior, alpha_prior=alpha_prior,
         x=x_pred, P=p0, S=S_prior, chi=chi0, alpha=alpha_prior,
         p_tilde=p0, r_tilde=S_prior / _per_matrix(s_prior),
@@ -220,12 +228,15 @@ def measurement_update(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition (x_pred, p_pred) on the step's measurement; (x, P, B) for every row.
 
-    With ph = p_pred H^T and C = H ph + R, one stacked solve gives each
-    row's m-by-m core K: C^{-1} on a sent row, conditioning on z ~ N(Hx, R);
-    on a silent row (Y^{-1} + C)^{-1}, solved as (I + Y C)^{-1} Y so that
-    Y^{-1} is never formed (I + Y C is nonsingular for SPD C, and Y = 0
-    gives K = 0). e is the innovation, 0 on silent rows, so the estimate
-    stays at the prediction there. Then x = x_pred + ph K e,
+    With ph = p_pred H^T and C = H ph + R, each row's m-by-m core K is
+    C^{-1} on a sent row, conditioning on z ~ N(Hx, R); on a silent row
+    (Y^{-1} + C)^{-1}, solved as (I + Y C)^{-1} Y so that Y^{-1} is never
+    formed (I + Y C is nonsingular for SPD C, and Y = 0 gives K = 0). A
+    single state (sent a bool or numpy bool) solves only the core its
+    outcome selects, bitwise the core a stack (sent an array of flags)
+    selects for that row after building both for one stacked solve.
+    e is the innovation, 0 on silent rows, so the estimate stays at the
+    prediction there. Then x = x_pred + ph K e,
     P = p_pred - ph K ph^T, and, with r = R K e, the scatter
     B = r r^T + R - R K R: r r^T + H P H^T on a sent row, and the joint
     posterior's Theta_zz - H Theta_xz - Theta_zx H^T + H Theta_xx H^T on a
@@ -233,9 +244,12 @@ def measurement_update(
     """
     ph = p_pred @ H.mT
     c = symmetrize(H @ ph) + R
-    eye, per_row = np.eye(c.shape[-1]), np.asarray(sent)[..., None, None]
     try:
-        k = np.linalg.solve(np.where(per_row, c, eye + Y @ c), np.where(per_row, eye, Y))
+        if isinstance(sent, (bool, np.bool_)):  # inv(c) is gesv against I: bitwise solve(c, eye)
+            k = np.linalg.inv(c) if sent else np.linalg.solve(np.eye(c.shape[-1]) + Y @ c, Y)
+        else:
+            eye, per_row = np.eye(c.shape[-1]), np.asarray(sent)[..., None, None]
+            k = np.linalg.solve(np.where(per_row, c, eye + Y @ c), np.where(per_row, eye, Y))
     except np.linalg.LinAlgError as exc:
         raise Singular("innovation core matrix is singular") from exc
     k_e = np.matvec(k, e)
@@ -251,13 +265,20 @@ def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
     a_mat = it.P + shift[..., :, None] * shift[..., None, :]
     # sum_j chi_j G_j = dof_g fpf + sum_j chi_j dof_g Qbar_j, one row at a time:
     # a 2-D @ over the rows would make a row's bits depend on its stack.
-    mixed_q = np.vecmat(it.chi, cfg.scaled_q.reshape(it.chi.shape[-1], -1)).reshape(a_mat.shape)
-    it.p_tilde = symmetrize(cfg.dof_g * it.fpf + mixed_q + a_mat) / (cfg.dof_g + 1.0)
+    mixed_q = np.vecmat(it.chi, cfg.scaled_q).reshape(a_mat.shape)
+    it.p_tilde = symmetrize(it.scaled_fpf + mixed_q + a_mat) / (cfg.dof_g + 1.0)
 
 
 def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
-    """Refresh the inverse-Wishart posterior IW(s_prior + 1, S) over the measurement covariance."""
-    it.S = symmetrize(it.S_prior + B)
+    """Refresh the inverse-Wishart posterior IW(s_prior + 1, S) over the measurement covariance.
+
+    S = S_prior + B needs no symmetrize. Its terms rho S, r r^T and
+    symmetrize(R - R K R) (see measurement_update) are each exactly
+    symmetric, given a carried S that is (initial_state's s0 r0 is, and
+    each step's S_prior + B keeps it so), and so is their sum, which
+    symmetrize would return unchanged wherever half an entry is not subnormal.
+    """
+    it.S = it.S_prior + B
     it.r_tilde = it.S / _per_matrix(it.s_prior + 1.0)
 
 
@@ -291,9 +312,7 @@ def update_mixture(it: IterationState, cfg: FilterConfig) -> None:
     except ValueError as exc:  # a concentration rho^k decays while its chi_j is 0 underflows
         raise NotPositiveDefinite(f"alpha: {exc}") from exc
     p_inv = p_inv.reshape(it.chi.shape[:-1] + (-1,))
-    log_w = (
-        it.log_norm_j - 0.5 * np.matvec(cfg.scaled_q.reshape(psi.shape[-1], -1), p_inv) + psi
-    )
+    log_w = it.log_norm_j - 0.5 * np.matvec(cfg.scaled_q, p_inv) + psi
     it.chi = normalize_log_weights(log_w)
     it.alpha = it.alpha_prior + it.chi
 

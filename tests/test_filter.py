@@ -24,8 +24,9 @@ from etvbf.filter import (
     update_mixture,
     update_predicted_cov,
 )
+from etvbf.harness import ExperimentConfig, build_filter_config
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
-from etvbf.numerics import spd_factor, symmetrize
+from etvbf.numerics import NotPositiveDefinite, spd_factor, symmetrize
 from etvbf.trigger import TriggerConfig, TriggerOutcome
 from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
 
@@ -113,8 +114,19 @@ class TestFilterConfig:
         assert type(cfg.dof_g) is float and type(cfg.alpha0) is float
         assert cfg.dof_g == cfg.alpha0 == 10.0
 
+    def test_r0_is_kept_exactly_symmetric(self):
+        """An r0 asymmetric within the tolerance is stored symmetrized; an exactly symmetric
+        one is stored bit for bit."""
+        r0 = np.array([[150.0, 3.0 + 1e-12], [3.0, 150.0]])
+        cfg = dataclasses.replace(make_config(), r0=r0)
+        assert np.array_equal(cfg.r0, cfg.r0.T) and np.allclose(cfg.r0, r0, rtol=0, atol=1e-12)
+        exact = np.array([[150.0, 3.0], [3.0, 150.0]])
+        assert dataclasses.replace(make_config(), r0=exact).r0.tobytes() == exact.tobytes()
+
     def test_scaled_bank_is_derived_not_set(self):
+        """scaled_q is dof_g Qbar_j, one flattened matrix per component."""
         cfg = make_config()
+        assert cfg.scaled_q.shape == (2, 4)
         assert cfg.scaled_q.tobytes() == (cfg.dof_g * cfg.nominal_q).tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.scaled_q = np.zeros((2, 2, 2))
@@ -129,19 +141,20 @@ class TestFilterConfig:
 
 class TestPredict:
     def test_covariance_bank(self):
-        """The IW scales dof_g (fpf + Qbar_j) of the kept fpf give log_norm_j bitwise."""
+        """The IW scales G_j = scaled_fpf + dof_g Qbar_j are dof_g (fpf + Qbar_j), and
+        fpf + Qbar_j gives log_norm_j bitwise."""
         cfg = make_config(q_scales=(1.0, 2.0, 3.0))
         state = FilterState(
             x_hat=np.zeros(2), P=np.eye(2), s=4.0, S=4.0 * np.eye(2), alpha=np.full(3, 2.0)
         )
         pred = predict(state, np.eye(2), cfg)
-        assert np.array_equal(pred.fpf, state.P)  # F = I
-        assert np.array_equal(cfg.scaled_q, cfg.dof_g * cfg.nominal_q)
-        g_j = cfg.dof_g * (pred.fpf + cfg.nominal_q)
+        fpf = state.P  # F = I
+        assert pred.scaled_fpf.tobytes() == (cfg.dof_g * fpf).tobytes()
+        g_j = pred.scaled_fpf + cfg.scaled_q.reshape(cfg.nominal_q.shape)
         assert g_j.shape == (3, 2, 2)
         for j, big_g in enumerate(g_j, start=1):
             assert np.allclose(big_g, cfg.dof_g * (1 + j) * np.eye(2))
-        log_norm = 0.5 * cfg.dof_g * spd_factor(pred.fpf + cfg.nominal_q).log_det()
+        log_norm = 0.5 * cfg.dof_g * spd_factor(fpf + cfg.nominal_q).log_det()
         assert pred.log_norm_j.tobytes() == log_norm.tobytes()
 
     def test_log_normalisers_against_scipy(self):
@@ -169,16 +182,33 @@ class TestPredict:
 
     @pytest.mark.parametrize("rows", [(), (3,)])
     def test_log_normalisers_bitwise_the_per_call_expression(self, rows):
-        """log_norm_j is bitwise d log|fpf + Qbar_j| / 2, factored per row and component."""
+        """log_norm_j is bitwise d log|fpf + Qbar_j| / 2, factored per row and component,
+        and scaled_fpf is bitwise d fpf, for fpf = symmetrize(F P F^T)."""
         rng = np.random.default_rng(16)
         n = 4
         cfg = make_config(n=n, q_scales=(0.5, 2.0, 6.0), dof=6.0)
         x0_hat = rng.standard_normal(rows + (n,))
         state = initial_state(x0_hat, random_spd(rng, n), cfg)
-        pred = predict(state, np.eye(n) + 0.1 * rng.standard_normal((n, n)), cfg)
-        log_det_j = spd_factor(pred.fpf[..., None, :, :] + cfg.nominal_q).log_det()
+        f_mat = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        pred = predict(state, f_mat, cfg)
+        fpf = symmetrize(f_mat @ state.P @ f_mat.T)
+        assert pred.scaled_fpf.tobytes() == (cfg.dof_g * fpf).tobytes()
+        log_det_j = spd_factor(fpf[..., None, :, :] + cfg.nominal_q).log_det()
         assert log_det_j.shape == rows + (3,)
         assert pred.log_norm_j.tobytes() == (0.5 * cfg.dof_g * log_det_j).tobytes()
+
+    def test_overflowing_fpf_is_a_named_breakdown(self):
+        """An F P F^T that overflows is a breakdown naming the bank, in predict and so in
+        etvbf_step, not spd_factor's ValueError."""
+        cfg = build_filter_config(ExperimentConfig())
+        state = FilterState(x_hat=np.zeros(4), P=1e300 * np.eye(4), s=np.float64(5.0),
+                            S=cfg.s0 * cfg.r0, alpha=np.ones(5))
+        f_mat, h = 1e10 * np.eye(4), build_cv_scenario(1.0, 500).H(1)
+        match = "^fpf [+] nominal_q: matrix contains non-finite entries$"
+        with pytest.warns(RuntimeWarning), pytest.raises(NotPositiveDefinite, match=match):
+            predict(state, f_mat, cfg)
+        with pytest.warns(RuntimeWarning), pytest.raises(NotPositiveDefinite, match=match):
+            etvbf_step(state, f_mat, h, TriggerOutcome(gamma=0), cfg)
 
     def test_rho_one_keeps_priors(self):
         cfg = make_config(rho=1.0)
@@ -527,6 +557,28 @@ class TestMeasurementCovarianceUpdate:
         # B = 2/3 - 2/3 + 2/3
         assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
 
+    def test_scale_stays_exactly_symmetric_unsymmetrized(self):
+        """S = S_prior + B is exactly symmetric at every sweep, so symmetrize would return
+        it unchanged, from an r0 asymmetric within the tolerance, over sent and silent steps."""
+        cfg = dataclasses.replace(
+            make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0), r_scale=150.0, rho=0.997,
+                        y_scale=0.015),
+            r0=np.array([[150.0, 3.0 + 1e-12], [3.0, 150.0]]),
+        )
+        model = build_cv_scenario(1.0, 500)
+        x0, p0, _ = scenario_defaults()
+        traj = simulate_truth(model, x0, 12, SeededRng(6))
+        state = initial_state(x0, p0, cfg)
+        for k in range(1, 13):
+            f, h = model.F(k), model.H(k)
+            it = predict(state, f, cfg)
+            sent = k % 3 != 0
+            e = innovation(sent, traj.measurements[k - 1], h @ it.x_pred)
+            for _ in range(3):
+                sweep(it, sent, e, h, cfg)
+                assert it.S.tobytes() == symmetrize(it.S).tobytes(), k
+            state = posterior(it)
+
     def test_dof_increment_is_idempotent_across_sweeps(self):
         cfg = scalar_config(q_scales=(1.0,), s0=5.0)
         state = FilterState(
@@ -656,7 +708,9 @@ class TestMixtureUpdate:
     def test_sweep_rows_bitwise_their_own_stacks(self):
         """One sweep of a mixed sent/silent 500-row stack gives each row bitwise what the
         same rows give as 1-row and 7-row stacks, and what a sent and a silent row give
-        unstacked: the mixture's Cholesky check, inverse and digamma work row by row."""
+        unstacked: the mixture's Cholesky check, inverse and digamma work row by row.
+        Unstacked, the outcome is a numpy bool or the Python bool etvbf_step passes, and
+        either way the one core it solves is bitwise the core the stack selects."""
         rng = np.random.default_rng(34)
         n, m, rows = 4, 2, 500
         cfg = make_config(n=n, m=m, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
@@ -675,9 +729,10 @@ class TestMixtureUpdate:
         z[~sent] = np.nan
         fields = ("chi", "alpha", "p_tilde", "x", "P", "S")
 
-        def swept(part):
+        def swept(part, outcome=None):
+            outcome = sent[part] if outcome is None else outcome
             it = predict(take_rows(stack, part), f, cfg)
-            sweep(it, sent[part], innovation(sent[part], z[part], np.matvec(h, it.x_pred)), h, cfg)
+            sweep(it, outcome, innovation(outcome, z[part], np.matvec(h, it.x_pred)), h, cfg)
             return [getattr(it, name) for name in fields]
 
         whole = swept(slice(None))
@@ -688,8 +743,36 @@ class TestMixtureUpdate:
                 for name, got, want in zip(fields, whole, swept(part)):
                     assert got[part].tobytes() == want.tobytes(), (name, size, start)
         for i in (np.flatnonzero(sent)[0], np.flatnonzero(~sent)[0]):
-            for name, got, want in zip(fields, whole, swept(i)):
-                assert (got[i].shape, got[i].tobytes()) == (want.shape, want.tobytes()), (name, i)
+            for outcome in (sent[i], bool(sent[i])):
+                for name, got, want in zip(fields, whole, swept(i, outcome)):
+                    assert (got[i].shape, got[i].tobytes()) == (want.shape, want.tobytes()), (
+                        name, i, type(outcome))
+
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["single", "stack-of-3"])
+    def test_sweeps_leave_priors_and_step_constants_as_predict_built_them(self, rows):
+        """After 3 sweeps the priors and per-step constants (x_pred to alpha_prior) and the
+        config's scaled bank are byte for byte what predict and FilterConfig built, while
+        the iterates moved."""
+        rng = np.random.default_rng(35)
+        cfg = make_config(n=4, m=2, q_scales=(1.0, 2.0, 3.0, 9.0, 10.0), r_scale=150.0,
+                          rho=0.997, y_scale=0.015)
+        model = build_cv_scenario(1.0, 500)
+        f, h = model.F(1), model.H(1)
+        x0, p0, _ = scenario_defaults()
+        state = initial_state(x0 + rng.standard_normal(rows + (4,)), p0, cfg)
+        it = predict(state, f, cfg)
+        sent = np.arange(3) != 1 if rows else True
+        z = np.matvec(h, it.x_pred) + 30.0
+        e = innovation(sent, z, np.matvec(h, it.x_pred))
+        kept = ("x_pred", "scaled_fpf", "log_norm_j", "s_prior", "S_prior", "alpha_prior")
+        before = {k: v for k, v in field_bytes(it)[0].items() if k in kept}
+        assert set(before) == set(kept)
+        bank, x_start = cfg.scaled_q.tobytes(), it.x
+        for _ in range(3):
+            sweep(it, sent, e, h, cfg)
+        assert {k: v for k, v in field_bytes(it)[0].items() if k in kept} == before
+        assert cfg.scaled_q.tobytes() == bank
+        assert not np.array_equal(it.x, x_start)
 
 
 class TestConvergence:
