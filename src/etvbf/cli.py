@@ -80,10 +80,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     grid = filters = None
     if args.grid is not None:
-        values = args.grid.split(",")
-        if not all(v.strip() for v in values):
-            raise ValueError(f"--grid {args.grid!r} has an empty value; list numbers, e.g. 0.1,0.2")
-        grid = tuple(float(v) for v in values)
+        grid = []
+        for value in args.grid.split(","):
+            try:
+                grid.append(float(value))
+            except ValueError:  # an empty value too
+                raise ValueError(f"--grid {args.grid!r} has {value!r}, which is not a number; "
+                                 "list numbers, e.g. 0.1,0.2") from None
     if args.filters is not None:  # ExperimentConfig checks the ids
         filters = tuple(f.strip() for f in args.filters.split(",") if f.strip())
     cfg = _resolve_config(args, sweep_param=args.param, sweep_grid=grid, filters=filters)

@@ -43,8 +43,14 @@ def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def sample_gaussian(rng: SeededRng, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Draw from N(mean, cov) using the lower Cholesky factor of cov."""
+def sample_gaussian(
+    rng: SeededRng | list[SeededRng], mean: np.ndarray, cov: np.ndarray
+) -> np.ndarray:
+    """Draw from N(mean, cov) using the lower Cholesky factor of cov.
+
+    A list of streams draws one row each through that one factor, bitwise its draw alone."""
     mean = np.asarray(mean, dtype=float)
-    factor = spd_factor(np.asarray(cov, dtype=float))
-    return mean + factor.lower @ rng.standard_normal(mean.shape[0])
+    lower = spd_factor(np.asarray(cov, dtype=float)).lower
+    if isinstance(rng, SeededRng):
+        return mean + lower @ rng.standard_normal(mean.shape[0])
+    return mean + np.matvec(lower, np.array([s.standard_normal(mean.shape[0]) for s in rng]))

@@ -6,14 +6,15 @@ refines the state, the predicted error covariance (as an inverse-Wishart
 posterior over a bank of nominal process noise covariances, whose scales
 are affine in F P F^T), the measurement noise covariance, and the mixture
 weights. Every row takes one Gaussian conditioning, measurement_update,
-which gives the state x, its covariance P and the measurement scatter
-B = E{(z - Hx)(z - Hx)^T}. A row's trigger decision only picks that
-update's m-by-m core: a transmission conditions on z, and silence adds
+which gives the state x, its covariance P and the m-by-m core K it
+solved, with K e, from which a sweep's update_meas_cov forms the
+measurement scatter B = E{(z - Hx)(z - Hx)^T}. A row's trigger decision
+only picks that core: a transmission conditions on z, and silence adds
 the trigger's information Y on the innovation, which was small enough to
 stay below the stochastic trigger. A step's decisions come as the pair
 (sent, e): which rows sent, and the innovation, formed once per step and
 zero on a silent row, so no sweep reads an untransmitted measurement.
-The Kalman baselines take it once, after their own baselines.kf_predict.
+The Kalman baselines take it once, after baselines.kf_predict, for x and P.
 
 Every function but etvbf_step takes one filter state, or a stack of B of
 them along a leading row axis (x_hat of shape (B, n), P of shape (B, n, n),
@@ -212,21 +213,20 @@ def predict(prev: FilterState, F: np.ndarray, cfg: FilterConfig) -> IterationSta
     )
 
 
-def innovation(sent, z, z_pred) -> np.ndarray:
-    """A step's innovation e: z - z_pred on sent rows, and 0 on silent ones.
+def innovation(sent, d) -> np.ndarray:
+    """A stack's innovation e: d = z - H x_pred on sent rows, and 0 on silent ones.
 
-    A silent row's z (None for a silent single state) enters no arithmetic.
+    d is formed once a step, for the trigger and for e; a silent row's d
+    (from a z that was not sent, or nan) enters no arithmetic.
     """
-    if np.ndim(sent) == 0:
-        return z - z_pred if sent else np.zeros_like(z_pred)
-    return np.where(sent[:, None], z, z_pred) - z_pred
+    return np.where(sent[:, None], d, 0.0)
 
 
 def measurement_update(
     x_pred: np.ndarray, p_pred: np.ndarray, R: np.ndarray, e: np.ndarray, sent, H: np.ndarray,
     Y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Condition (x_pred, p_pred) on the step's measurement; (x, P, B) for every row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Condition (x_pred, p_pred) on the step's measurement; (x, P, K, K e) for every row.
 
     With ph = p_pred H^T and C = H ph + R, each row's m-by-m core K is
     C^{-1} on a sent row, conditioning on z ~ N(Hx, R); on a silent row
@@ -236,11 +236,9 @@ def measurement_update(
     outcome selects, bitwise the core a stack (sent an array of flags)
     selects for that row after building both for one stacked solve.
     e is the innovation, 0 on silent rows, so the estimate stays at the
-    prediction there. Then x = x_pred + ph K e,
-    P = p_pred - ph K ph^T, and, with r = R K e, the scatter
-    B = r r^T + R - R K R: r r^T + H P H^T on a sent row, and the joint
-    posterior's Theta_zz - H Theta_xz - Theta_zx H^T + H Theta_xx H^T on a
-    silent one. Raises Singular when a core system cannot be solved.
+    prediction there. Then x = x_pred + ph K e and P = p_pred - ph K ph^T;
+    K and K e are for update_meas_cov, the one place that forms the
+    scatter. Raises Singular when a core system cannot be solved.
     """
     ph = p_pred @ H.mT
     c = symmetrize(H @ ph) + R
@@ -253,10 +251,8 @@ def measurement_update(
     except np.linalg.LinAlgError as exc:
         raise Singular("innovation core matrix is singular") from exc
     k_e = np.matvec(k, e)
-    r = np.matvec(R, k_e)
     x = x_pred + np.matvec(ph, k_e)
-    P = symmetrize(p_pred - ph @ k @ ph.mT)
-    return x, P, r[..., :, None] * r[..., None, :] + symmetrize(R - R @ k @ R)
+    return x, symmetrize(p_pred - ph @ k @ ph.mT), k, k_e
 
 
 def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
@@ -269,16 +265,21 @@ def update_predicted_cov(it: IterationState, cfg: FilterConfig) -> None:
     it.p_tilde = symmetrize(it.scaled_fpf + mixed_q + a_mat) / (cfg.dof_g + 1.0)
 
 
-def update_meas_cov(it: IterationState, B: np.ndarray) -> None:
+def update_meas_cov(it: IterationState, k: np.ndarray, k_e: np.ndarray) -> None:
     """Refresh the inverse-Wishart posterior IW(s_prior + 1, S) over the measurement covariance.
 
-    S = S_prior + B needs no symmetrize. Its terms rho S, r r^T and
-    symmetrize(R - R K R) (see measurement_update) are each exactly
-    symmetric, given a carried S that is (initial_state's s0 r0 is, and
-    each step's S_prior + B keeps it so), and so is their sum, which
+    S = S_prior + B, where the scatter B = r r^T + R - R K R, with r = R K e,
+    is formed here from measurement_update's k = K and k_e = K e against
+    R = it.r_tilde: r r^T + H P H^T on a sent row, and the joint posterior's
+    Theta_zz - H Theta_xz - Theta_zx H^T + H Theta_xx H^T on a silent one.
+    S needs no symmetrize: rho S, r r^T and symmetrize(R - R K R) are each
+    exactly symmetric, given a carried S that is (initial_state's s0 r0 is,
+    and each step's S_prior + B keeps it so), and so is their sum, which
     symmetrize would return unchanged wherever half an entry is not subnormal.
     """
-    it.S = it.S_prior + B
+    R = it.r_tilde
+    r = np.matvec(R, k_e)
+    it.S = it.S_prior + (r[..., :, None] * r[..., None, :] + symmetrize(R - R @ k @ R))
     it.r_tilde = it.S / _per_matrix(it.s_prior + 1.0)
 
 
@@ -335,10 +336,10 @@ def sweep(it: IterationState, sent, e, H: np.ndarray, cfg: FilterConfig):
     state changed by at most tol, or at its max_iterations-th sweep.
     """
     x_prev = it.x
-    it.x, it.P, B = measurement_update(
+    it.x, it.P, k, k_e = measurement_update(
         it.x_pred, it.p_tilde, it.r_tilde, e, sent, H, cfg.trigger.Y
     )
-    update_meas_cov(it, B)
+    update_meas_cov(it, k, k_e)
     update_predicted_cov(it, cfg)
     update_mixture(it, cfg)
     it.iterations = it.iterations + 1
@@ -371,7 +372,8 @@ def etvbf_step(
         )
     sent = outcome.gamma == 1
     it = predict(state, F, cfg)
-    e = innovation(sent, outcome.measurement, np.matvec(H, it.x_pred))
+    z_pred = np.matvec(H, it.x_pred)
+    e = outcome.measurement - z_pred if sent else np.zeros_like(z_pred)
     while not sweep(it, sent, e, H, cfg):
         pass
     return posterior(it), it

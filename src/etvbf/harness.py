@@ -233,7 +233,7 @@ def _resolve_filter(filter_id: str, cfg: ExperimentConfig, fcfg: FilterConfig, m
             raise NotPositiveDefinite("P: matrix contains non-finite entries")
         return np.ones(sent.size, dtype=bool)
 
-    return kf_state, begin, advance, lambda work: (work, 0), nominal
+    return kf_state, begin, advance, lambda work: (work, np.zeros(len(work.x_hat), int)), nominal
 
 
 def run_trial(cfg: ExperimentConfig, filter_id: str, trial_index: int) -> TrialRecord:
@@ -269,7 +269,7 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         return []
     x0, p0, _ = scenario_defaults()
     truth_rngs = [SeededRng((cfg.base_seed, t)) for t in trial_indices]
-    x0_hat = np.array([sample_gaussian(rng, x0, p0) for rng in truth_rngs])
+    x0_hat = sample_gaussian(truth_rngs, x0, p0)
     traj = simulate_truth(model, x0, cfg.n_step, truth_rngs)
     truth, measurements = traj.states, traj.measurements
     start, begin, advance, finish, triggered = _resolve_filter(
@@ -292,12 +292,12 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         """Start step kr + 1 of rows from prev: predict, then decide on H x_hat^-."""
         f, h = f_tab.take(kr, axis=0), h_tab.take(kr, axis=0)
         work, x_pred = begin(prev, kr, f)
-        z_k, z_pred = measurements[rows, kr], np.matvec(h, x_pred)
-        if triggered:  # sensor_decide's rule, row by row: silent when zeta <= exp(-e'Ye/2)
-            sent = zeta[rows, kr] > trigger_probability(z_k - z_pred, fcfg.trigger)
+        d = measurements[rows, kr] - np.matvec(h, x_pred)  # z - H x_hat^-, on every row
+        if triggered:  # sensor_decide's rule, row by row: silent when zeta <= exp(-d'Yd/2)
+            sent = zeta[rows, kr] > trigger_probability(d, fcfg.trigger)
         else:
             sent = np.ones(rows.size, dtype=bool)
-        return work, sent, innovation(sent, z_k, z_pred), h
+        return work, sent, innovation(sent, d), h
 
     rows, kr = np.arange(count), np.zeros(count, dtype=int)
     try:
@@ -305,7 +305,9 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
         while rows.size:  # a round: one advance of every row, each at its own step kr + 1
             done = np.flatnonzero(advance(work, sent, e, h, kr))
             whole = done.size == rows.size
-            new, sweeps = finish(work if whole else take_rows(work, done))
+            new, sweeps = finish(work)
+            if not whole:
+                new, sweeps = take_rows(new, done), sweeps[done]
             at = rows[done], kr[done]
             estimate[at], gamma[at], iterations[at] = new.x_hat, sent[done], sweeps
             go = kr[done] < cfg.n_step - 1
@@ -315,7 +317,7 @@ def run_trials(cfg: ExperimentConfig, filter_id: str, trial_indices) -> list[Tri
                 continue
             if (joining := done[go]).size:  # these start their next step in the places they left
                 kr[joining] += 1
-                joined = enter(rows[joining], kr[joining], take_rows(new, go))
+                joined = enter(rows[joining], kr[joining], new if go.all() else take_rows(new, go))
                 for array, value in zip((*vars(work).values(), sent, e, h),
                                         (*vars(joined[0]).values(), *joined[1:])):
                     array[joining] = value

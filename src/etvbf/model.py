@@ -103,7 +103,8 @@ def simulate_truth(
     covariances evaluated at k, factored once in one stacked Cholesky. Per
     step the process noise is drawn before the measurement noise, so the
     stream layout is reproducible, and all of a stream's draws are taken
-    at once. For a stack of B trials, rng is a sequence of B streams, one
+    at once. Only the states recur; all z_k = H_k x_k + v_k are one product
+    after. For a stack of B trials, rng is a sequence of B streams, one
     per row: each row draws from its own stream in row order, the arrays
     gain a leading axis of B rows, and every row equals the trajectory its
     stream gives alone. One stream is run as a one-row stack.
@@ -122,7 +123,8 @@ def simulate_truth(
     x = np.asarray(x0, dtype=float)
     for k in ks:
         x = np.add(np.matvec(model.F(k), x), states[:, k - 1], out=states[:, k - 1])
-        np.add(np.matvec(model.H(k), x), measurements[:, k - 1], out=measurements[:, k - 1])
+    h_tab = np.array([model.H(k) for k in ks])
+    np.add(np.matvec(h_tab, states), measurements, out=measurements)
     if single:
         states, measurements = states[0], measurements[0]
     return Trajectory(states=states, measurements=measurements)

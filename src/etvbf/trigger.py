@@ -11,7 +11,6 @@ outcomes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +59,12 @@ _SILENT = TriggerOutcome(gamma=0)
 def trigger_probability(e: np.ndarray, cfg: TriggerConfig):
     """P(no transmission | innovation e) = exp(-0.5 e^T Y e); one per row of a stack."""
     e = np.asarray(e, dtype=float)
+    # Both forms take the same products and numpy's exp, which runs one loop for
+    # a scalar and a stack alike, so a row's decision is the one its innovation
+    # gets alone; math.exp, the platform's libm, can differ from it in the last bit.
     if e.ndim == 1:
-        return math.exp(-0.5 * e.dot(cfg.Y).dot(e))
-    # The same products and math.exp per row, so a row's decision is the one
-    # its innovation gets alone.
-    return np.array([math.exp(-0.5 * q) for q in np.vecdot(np.vecmat(e, cfg.Y), e).tolist()])
+        return np.exp(-0.5 * e.dot(cfg.Y).dot(e))
+    return np.exp(-0.5 * np.vecdot(np.vecmat(e, cfg.Y), e))
 
 
 def sensor_decide(

@@ -1,12 +1,14 @@
-"""Shared test utilities: random SPD matrices, dense reference formulas, field bytes, kf_step."""
+"""Shared test utilities: random SPD matrices, dense reference formulas, field bytes, kf_step,
+a step's innovation and the measurement scatter."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.special
 
 from etvbf.baselines import KfState, kf_predict
-from etvbf.filter import measurement_update
+from etvbf.filter import innovation, measurement_update, update_meas_cov
 from etvbf.numerics import Singular, SpdFactor, digamma, spd_factor
 
 
@@ -25,6 +27,24 @@ def kf_step(state, F, H, Q, R, Y, sent, e) -> KfState:
     """One Kalman step as the harness runs it: kf_predict, then measurement_update on (sent, e)."""
     pred = kf_predict(state, F, Q)
     return KfState(*measurement_update(pred.x_hat, pred.P, R, e, sent, H, Y)[:2])
+
+
+def innovation_of(sent, z, z_pred) -> np.ndarray:
+    """e = z - z_pred where sent and 0 where silent: filter.innovation on a stack, and
+    etvbf_step's own form on one state, whose silent z may be None."""
+    if np.ndim(sent) == 0:
+        return z - z_pred if sent else np.zeros_like(z_pred)
+    return innovation(sent, z - z_pred)
+
+
+def scatter(r_tilde: np.ndarray, k: np.ndarray, k_e: np.ndarray) -> np.ndarray:
+    """The measurement scatter B that update_meas_cov forms from measurement_update's core
+    k and k e against r_tilde, read off as the S it gives over a zero S_prior."""
+    it = SimpleNamespace(
+        r_tilde=r_tilde, S_prior=np.zeros_like(r_tilde), s_prior=np.zeros(r_tilde.shape[:-2])
+    )
+    update_meas_cov(it, k, k_e)
+    return it.S
 
 
 def dense_theta(

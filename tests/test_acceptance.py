@@ -25,7 +25,6 @@ from etvbf.filter import (
     FilterState,
     etvbf_step,
     initial_state,
-    innovation,
     measurement_update,
     predict,
     sweep,
@@ -33,7 +32,10 @@ from etvbf.filter import (
 from etvbf.harness import ExperimentConfig, emit_outputs, run_sweep
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.trigger import TriggerConfig, TriggerOutcome, sensor_decide, trigger_probability
-from helpers import block_inverse, dense_kalman_update, dense_theta, kf_step, random_spd
+from helpers import (
+    block_inverse, dense_kalman_update, dense_theta, innovation_of, kf_step, random_spd,
+    scatter,
+)
 
 PRIMARY_SEED = 20240
 RETRY_SEED = 20241
@@ -113,19 +115,19 @@ def test_02_closed_forms_match_brute_force():
         # One stack: row 0 transmits z, row 1 stays silent.
         x_pred, z = row_rng.standard_normal((2, n)), row_rng.standard_normal(m)
         sent = np.array([True, False])
-        e = innovation(sent, np.array([z, np.full(m, np.nan)]), np.matvec(h, x_pred))
-        x, P, B = measurement_update(
-            x_pred, np.array([p_tilde] * 2), np.array([r_tilde] * 2), e, sent, h, y
-        )
+        e = innovation_of(sent, np.array([z, np.full(m, np.nan)]), np.matvec(h, x_pred))
+        r_rows = np.array([r_tilde] * 2)
+        x, P, k, k_e = measurement_update(x_pred, np.array([p_tilde] * 2), r_rows, e, sent, h, y)
+        B = scatter(r_rows, k, k_e)  # as update_meas_cov forms it from the core
         x_ref, p_ref = dense_kalman_update(x_pred[0], p_tilde, z, h, r_tilde)
         resid = z - h @ x_ref
-        scatter = (
+        dense = (
             theta[n:, n:] - h @ theta[:n, n:] - theta[n:, :n] @ h.T + h @ theta[:n, :n] @ h.T
         )
         worst_block = max(
             worst_block,
             float(np.abs(P[1] - theta[:n, :n]).max()),
-            float(np.abs(B[1] - scatter).max()),
+            float(np.abs(B[1] - dense).max()),
             float(np.abs(x[1] - x_pred[1]).max()),
             float(np.abs(x[0] - x_ref).max()),
             float(np.abs(P[0] - p_ref).max()),
@@ -383,7 +385,7 @@ def _pinned_gain_final_errors(trials):
     for k in range(1, steps + 1):
         sent = np.full(len(trials), schedule[k - 1])
         it = predict(state, model.F(k), cfg)
-        e = innovation(sent, measurements[:, k - 1], np.matvec(model.H(k), it.x_pred))
+        e = innovation_of(sent, measurements[:, k - 1], np.matvec(model.H(k), it.x_pred))
         assert sweep(it, sent, e, model.H(k), cfg).all()
         state = FilterState(it.x, it.P, it.s_prior + 1.0, it.S, it.alpha)
     return state.x_hat - np.array(finals)

@@ -3,15 +3,16 @@ import pytest
 
 from etvbf.baselines import KfState, kf_predict
 from etvbf.distributions import SeededRng
-from etvbf.filter import innovation
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import spd_factor
-from helpers import dense_kalman_update, dense_theta, field_bytes, kf_step, random_spd
+from helpers import (
+    dense_kalman_update, dense_theta, field_bytes, innovation_of, kf_step, random_spd,
+)
 
 
 def decided_step(state, f, h, q, r, y, sent, z=None):
     """kf_step given which rows sent and their z, with e = z - H x_hat^- where sent."""
-    e = innovation(np.asarray(sent), z, np.matvec(h, kf_predict(state, f, q).x_hat))
+    e = innovation_of(np.asarray(sent), z, np.matvec(h, kf_predict(state, f, q).x_hat))
     return kf_step(state, f, h, q, r, y, sent, e)
 
 

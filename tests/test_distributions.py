@@ -9,6 +9,7 @@ from etvbf.distributions import (
     normalize_log_weights,
     sample_gaussian,
 )
+from etvbf.model import scenario_defaults
 from etvbf.numerics import spd_factor
 from helpers import (
     dirichlet_expected_log,
@@ -165,6 +166,23 @@ class TestSampling:
         )
         sample_cov = np.cov(draws.T)
         assert np.linalg.norm(sample_cov - cov) < 0.05 * np.linalg.norm(cov)
+
+    @pytest.mark.parametrize("cov", ["scenario", "dense"])
+    def test_streams_share_one_factor_bitwise_their_own_draws(self, cov):
+        """A sequence of streams draws through one factor of cov, bitwise what each stream
+        draws alone, and leaves each stream where its own draw does."""
+        x0, p0, _ = scenario_defaults()
+        cov = p0 if cov == "scenario" else np.array(
+            [[4.0, 1.0, 0.5, 0.2], [1.0, 3.0, 0.3, 0.1], [0.5, 0.3, 2.0, 0.4],
+             [0.2, 0.1, 0.4, 1.0]]
+        )
+        streams = [SeededRng((20240, t)) for t in range(50)]
+        draws = sample_gaussian(streams, x0, cov)
+        assert draws.shape == (50, 4)
+        for t, (stream, draw) in enumerate(zip(streams, draws)):
+            alone = SeededRng((20240, t))
+            assert draw.tobytes() == sample_gaussian(alone, x0, cov).tobytes()
+            assert stream.random() == alone.random()
 
     def test_uniform_deterministic_under_seed(self):
         assert SeededRng(9).random() == SeededRng(9).random()

@@ -14,7 +14,6 @@ from etvbf.filter import (
     check_convergence,
     etvbf_step,
     initial_state,
-    innovation,
     measurement_update,
     posterior,
     predict,
@@ -28,7 +27,9 @@ from etvbf.harness import ExperimentConfig, build_filter_config
 from etvbf.model import build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import NotPositiveDefinite, spd_factor, symmetrize
 from etvbf.trigger import TriggerConfig, TriggerOutcome
-from helpers import dense_kalman_update, dense_theta, field_bytes, random_spd
+from helpers import (
+    dense_kalman_update, dense_theta, field_bytes, innovation_of, random_spd, scatter,
+)
 
 
 def make_config(
@@ -60,13 +61,13 @@ def scalar_config(**kwargs):
 
 def sent_row(x_pred, p_tilde, r_tilde, z, h):
     """measurement_update of a transmitting state: innovation z - H x_pred, and no part for Y."""
-    e = innovation(np.True_, z, h @ x_pred)
+    e = innovation_of(np.True_, z, h @ x_pred)
     return measurement_update(x_pred, p_tilde, r_tilde, e, np.True_, h, np.eye(len(z)))
 
 
 def silent_row(x_pred, p_tilde, r_tilde, h, y):
     """measurement_update of a silent state under trigger weight y: a zero innovation."""
-    e = innovation(np.False_, None, h @ x_pred)
+    e = innovation_of(np.False_, None, h @ x_pred)
     return measurement_update(x_pred, p_tilde, r_tilde, e, np.False_, h, y)
 
 
@@ -282,7 +283,8 @@ class TestPerRowMatrices:
         z = rng.standard_normal((rows, m))
         gamma = np.arange(rows) % 2
         for sent in (np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool), gamma == 1):
-            args = (it.x_pred, it.p_tilde, it.r_tilde, innovation(sent, z, np.matvec(h, it.x_pred)))
+            e = innovation_of(sent, z, np.matvec(h, it.x_pred))
+            args = (it.x_pred, it.p_tilde, it.r_tilde, e)
             same(
                 measurement_update(*args, sent, h, cfg.trigger.Y),
                 measurement_update(*args, sent, per_row[1], cfg.trigger.Y),
@@ -292,7 +294,7 @@ class TestPerRowMatrices:
         same(vars(pred).values(), vars(kf_predict(kf, per_row[0], per_row[2])).values())
         sent = gamma == 1
         args = (pred.x_hat, pred.P)
-        e = innovation(sent, z, np.matvec(h, pred.x_hat))
+        e = innovation_of(sent, z, np.matvec(h, pred.x_hat))
         same(
             measurement_update(*args, r, e, sent, h, cfg.trigger.Y),
             measurement_update(*args, per_row[3], e, sent, per_row[1], cfg.trigger.Y),
@@ -354,14 +356,14 @@ def scalar_iteration(p_tilde=1.0, r_tilde=1.0):
 class TestJointUpdateNoMeasurement:
     def test_scalar_reference(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
+        it.x, it.P, *core = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
         assert it.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         # B = P - 2 Pxz + Pzz = 2/3 - 2/3 + 2/3, with Pxz = 1/3 and Pzz = 2/3
-        assert B[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert scatter(it.r_tilde, *core)[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_vanishing_trigger_information(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, B = silent_row(
+        it.x, it.P, *_ = silent_row(
             np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), 1e-12 * np.eye(1)
         )
         assert it.P[0, 0] == pytest.approx(2.0, abs=1e-9)
@@ -380,38 +382,38 @@ class TestJointUpdateNoMeasurement:
             it.r_tilde = random_spd(rng, m)
             h = rng.standard_normal((m, n))
             y = random_spd(rng, m, scale=0.5)
-            it.x, it.P, B = silent_row(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
+            it.x, it.P, *core = silent_row(np.zeros(n), it.p_tilde, it.r_tilde, h, y)
             theta = dense_theta(it.p_tilde, it.r_tilde, h, y)
             assert np.linalg.norm(it.P - theta[:n, :n]) < 1e-9
             # E{(z - Hx)(z - Hx)^T} of the dense joint covariance
-            scatter = (
+            dense = (
                 h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
                 + theta[n:, n:]
             )
-            assert np.linalg.norm(B - scatter) < 1e-9
+            assert np.linalg.norm(scatter(it.r_tilde, *core) - dense) < 1e-9
 
     def test_state_pinned_to_prediction(self):
         it = scalar_iteration()
         x_pred = np.array([3.7])
-        it.x, it.P, B = silent_row(x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
+        it.x, it.P, *_ = silent_row(x_pred, it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
         assert np.array_equal(it.x, x_pred)
 
 
 class TestStateUpdateWithMeasurement:
     def test_scalar_gain_half(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
-        it.x, it.P, B = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1))
+        it.x, it.P, *_ = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([1.0]), np.eye(1))
         assert it.x[0] == pytest.approx(0.5)
         assert it.P[0, 0] == pytest.approx(0.5)
 
     def test_uninformative_measurement(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1e12)
-        it.x, it.P, B = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1))
+        it.x, it.P, *_ = sent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.array([5.0]), np.eye(1))
         assert abs(it.x[0]) < 1e-9
 
     def test_unobservable(self):
         it = scalar_iteration(p_tilde=2.0, r_tilde=1.0)
-        it.x, it.P, B = sent_row(
+        it.x, it.P, *_ = sent_row(
             np.array([1.0]), it.p_tilde, it.r_tilde, np.array([5.0]), np.zeros((1, 1))
         )
         assert it.x[0] == pytest.approx(1.0)
@@ -419,7 +421,14 @@ class TestStateUpdateWithMeasurement:
 
 
 class TestMeasurementUpdate:
-    """The one update every row takes; the trigger outcome picks its m-by-m core."""
+    """The one update every row takes; the trigger outcome picks its m-by-m core, and
+    update_meas_cov forms the scatter B from that core."""
+
+    @staticmethod
+    def update(x_pred, p, r, e, sent, h, y):
+        """measurement_update's (x, P, K, K e), and the B that update_meas_cov forms."""
+        x, P, k, k_e = measurement_update(x_pred, p, r, e, sent, h, y)
+        return x, P, k, k_e, scatter(r, k, k_e)
 
     @staticmethod
     def rows(rng, count, n=4, m=2):
@@ -431,22 +440,22 @@ class TestMeasurementUpdate:
         return x_pred, p, r, h, y, rng.standard_normal((count, m))
 
     def test_mixed_stack_rows_bitwise_their_own_stacks(self):
-        """A mixed stack's rows are bitwise the same rows run as one-row stacks and as
-        stacks of one outcome."""
+        """A mixed stack's rows, its scatter B included, are bitwise the same rows run as
+        one-row stacks and as stacks of one outcome."""
         rng = np.random.default_rng(31)
         x_pred, p, r, h, y, z = self.rows(rng, 7)
         sent = np.array([1, 0, 0, 1, 1, 0, 1]) == 1
         z[~sent] = np.nan
-        e = innovation(sent, z, np.matvec(h, x_pred))
-        mixed = measurement_update(x_pred, p, r, e, sent, h, y)
+        e = innovation_of(sent, z, np.matvec(h, x_pred))
+        mixed = self.update(x_pred, p, r, e, sent, h, y)
         for i in range(sent.size):
-            alone = measurement_update(
+            alone = self.update(
                 x_pred[i : i + 1], p[i : i + 1], r[i : i + 1], e[i : i + 1], sent[i : i + 1], h, y
             )
             for got, want in zip(mixed, alone):
                 assert got[i].tobytes() == want[0].tobytes()
         for rows in (sent, ~sent):
-            one_outcome = measurement_update(
+            one_outcome = self.update(
                 x_pred[rows], p[rows], r[rows], e[rows], sent[rows], h, y
             )
             for got, want in zip(mixed, one_outcome):
@@ -459,8 +468,8 @@ class TestMeasurementUpdate:
         x_pred, p, r, h, _, z = self.rows(rng, 2)
         sent = np.array([True, False])
         z[1] = np.nan
-        e = innovation(sent, z, np.matvec(h, x_pred))
-        x, P, B = measurement_update(x_pred, p, r, e, sent, h, np.zeros((2, 2)))
+        e = innovation_of(sent, z, np.matvec(h, x_pred))
+        x, P, _, _, B = self.update(x_pred, p, r, e, sent, h, np.zeros((2, 2)))
         assert np.array_equal(x[1], x_pred[1])
         assert np.array_equal(P[1], p[1])
         assert np.array_equal(B[1], r[1])
@@ -476,8 +485,8 @@ class TestMeasurementUpdate:
             x_pred, p, r, h, y, z = self.rows(rng, 2, n=n)
             sent = np.array([True, False])
             z[1] = np.nan
-            e = innovation(sent, z, np.matvec(h, x_pred))
-            x, P, B = measurement_update(x_pred, p, r, e, sent, h, y)
+            e = innovation_of(sent, z, np.matvec(h, x_pred))
+            x, P, _, _, B = self.update(x_pred, p, r, e, sent, h, y)
 
             x_ref, p_ref = dense_kalman_update(x_pred[0], p[0], z[0], h, r[0])
             resid = z[0] - h @ x_ref
@@ -486,13 +495,13 @@ class TestMeasurementUpdate:
             assert np.linalg.norm(B[0] - (np.outer(resid, resid) + h @ p_ref @ h.T)) < 1e-9
 
             theta = dense_theta(p[1], r[1], h, y)
-            scatter = (
+            dense = (
                 h @ theta[:n, :n] @ h.T - h @ theta[:n, n:] - theta[n:, :n] @ h.T
                 + theta[n:, n:]
             )
             assert np.array_equal(x[1], x_pred[1])
             assert np.linalg.norm(P[1] - theta[:n, :n]) < 1e-9
-            assert np.linalg.norm(B[1] - scatter) < 1e-9
+            assert np.linalg.norm(B[1] - dense) < 1e-9
 
 
 class TestPredictedCovarianceUpdate:
@@ -502,7 +511,7 @@ class TestPredictedCovarianceUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(5)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
+        it.x, it.P, *_ = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         p_before = it.P.copy()
         update_predicted_cov(it, cfg)
         # F = I, so component j's IW scale is dof_g (P + Qbar_j); the dof is 10 + 1.
@@ -517,7 +526,7 @@ class TestPredictedCovarianceUpdate:
             alpha=np.array([1.0, 3.0]),
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = sent_row(
+        it.x, it.P, *_ = sent_row(
             it.x_pred, it.p_tilde, it.r_tilde, np.array([2.0, 0.0]), np.eye(2)
         )
         update_predicted_cov(it, cfg)
@@ -534,13 +543,12 @@ class TestMeasurementCovarianceUpdate:
     def test_transmitted_zero_residual(self):
         it = scalar_iteration(p_tilde=1.0, r_tilde=1.0)
         # z = x_pred = 2 leaves x at 2 with P = 0.5, so B = 0^2 + 0.5.
-        it.x, it.P, B = sent_row(
+        it.x, it.P, *core = sent_row(
             np.array([2.0]), it.p_tilde, it.r_tilde, np.array([2.0]), np.eye(1)
         )
         assert it.x[0] == pytest.approx(2.0)
         assert it.P[0, 0] == pytest.approx(0.5)
-        assert B[0, 0] == pytest.approx(0.5)
-        update_meas_cov(it, B)
+        update_meas_cov(it, *core)
         assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 0.5)
         assert it.r_tilde[0, 0] == pytest.approx(it.S[0, 0] / (it.s_prior + 1.0))
 
@@ -552,8 +560,8 @@ class TestMeasurementCovarianceUpdate:
         it = predict(state, np.eye(1), cfg)
         it.p_tilde = np.eye(1)
         it.r_tilde = np.eye(1)
-        it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
-        update_meas_cov(it, B)
+        it.x, it.P, *core = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
+        update_meas_cov(it, *core)
         # B = 2/3 - 2/3 + 2/3
         assert it.S[0, 0] == pytest.approx(it.S_prior[0, 0] + 2.0 / 3.0, abs=1e-10)
 
@@ -573,7 +581,7 @@ class TestMeasurementCovarianceUpdate:
             f, h = model.F(k), model.H(k)
             it = predict(state, f, cfg)
             sent = k % 3 != 0
-            e = innovation(sent, traj.measurements[k - 1], h @ it.x_pred)
+            e = innovation_of(sent, traj.measurements[k - 1], h @ it.x_pred)
             for _ in range(3):
                 sweep(it, sent, e, h, cfg)
                 assert it.S.tobytes() == symmetrize(it.S).tobytes(), k
@@ -586,8 +594,10 @@ class TestMeasurementCovarianceUpdate:
         )
         it = predict(state, np.eye(1), cfg)
         for _ in range(4):
-            it.x, it.P, B = silent_row(np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1))
-            update_meas_cov(it, B)
+            it.x, it.P, *core = silent_row(
+                np.zeros(1), it.p_tilde, it.r_tilde, np.eye(1), np.eye(1)
+            )
+            update_meas_cov(it, *core)
             assert it.r_tilde[0, 0] == pytest.approx(it.S[0, 0] / (it.s_prior + 1.0))
 
 
@@ -598,7 +608,7 @@ class TestMixtureUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(1)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
+        it.x, it.P, *_ = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         update_predicted_cov(it, cfg)
         update_mixture(it, cfg)
         assert np.allclose(it.chi, [1.0])
@@ -610,7 +620,7 @@ class TestMixtureUpdate:
             x_hat=np.zeros(2), P=np.eye(2), s=5.0, S=5.0 * np.eye(2), alpha=np.ones(3)
         )
         it = predict(state, np.eye(2), cfg)
-        it.x, it.P, B = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
+        it.x, it.P, *_ = silent_row(it.x_pred, it.p_tilde, it.r_tilde, np.eye(2), np.eye(2))
         update_predicted_cov(it, cfg)
         update_mixture(it, cfg)
         assert np.allclose(it.chi, 1.0 / 3.0, atol=1e-12)
@@ -622,7 +632,7 @@ class TestMixtureUpdate:
             alpha=np.array([1.0, 2.0]),
         )
         it = predict(state, np.eye(1), cfg)
-        it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1))
+        it.x, it.P, *_ = sent_row(it.x_pred, it.p_tilde, it.r_tilde, np.array([1.5]), np.eye(1))
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
         d = cfg.dof_g
@@ -672,7 +682,7 @@ class TestMixtureUpdate:
         h_mat = rng.standard_normal((2, n))
         it = predict(state, f_mat, cfg)
         z = h_mat @ it.x_pred + np.array([3.0, -2.0])
-        it.x, it.P, B = sent_row(it.x_pred, it.p_tilde, it.r_tilde, z, h_mat)
+        it.x, it.P, *_ = sent_row(it.x_pred, it.p_tilde, it.r_tilde, z, h_mat)
         update_predicted_cov(it, cfg)
         alpha_before = it.alpha.copy()
         d = cfg.dof_g
@@ -732,7 +742,7 @@ class TestMixtureUpdate:
         def swept(part, outcome=None):
             outcome = sent[part] if outcome is None else outcome
             it = predict(take_rows(stack, part), f, cfg)
-            sweep(it, outcome, innovation(outcome, z[part], np.matvec(h, it.x_pred)), h, cfg)
+            sweep(it, outcome, innovation_of(outcome, z[part], np.matvec(h, it.x_pred)), h, cfg)
             return [getattr(it, name) for name in fields]
 
         whole = swept(slice(None))
@@ -763,7 +773,7 @@ class TestMixtureUpdate:
         it = predict(state, f, cfg)
         sent = np.arange(3) != 1 if rows else True
         z = np.matvec(h, it.x_pred) + 30.0
-        e = innovation(sent, z, np.matvec(h, it.x_pred))
+        e = innovation_of(sent, z, np.matvec(h, it.x_pred))
         kept = ("x_pred", "scaled_fpf", "log_norm_j", "s_prior", "S_prior", "alpha_prior")
         before = {k: v for k, v in field_bytes(it)[0].items() if k in kept}
         assert set(before) == set(kept)

@@ -9,11 +9,11 @@ import zlib
 import numpy as np
 import pytest
 
-from etvbf import harness
+from etvbf import filter as filt, harness
 from etvbf.baselines import KfState, kf_predict
 from etvbf.cli import PROFILES
 from etvbf.cli import main as cli_main
-from etvbf.filter import etvbf_step, initial_state, innovation, measurement_update
+from etvbf.filter import etvbf_step, initial_state, measurement_update
 from etvbf.harness import (
     FILTER_IDS,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from etvbf.distributions import SeededRng, sample_gaussian
 from etvbf.model import ModelSpec, build_cv_scenario, scenario_defaults, simulate_truth
 from etvbf.numerics import NotPositiveDefinite
 from etvbf.trigger import TriggerOutcome, sensor_decide
+from helpers import innovation_of
 
 TINY = dict(n_mc=2, n_step=12, base_seed=99)
 REAL_FIELDS = ("sample_time", "dof_g", "r_scale", "s0", "alpha0", "rho", "y_scale",
@@ -103,7 +104,7 @@ class TestRunTrial:
                     outcome = TriggerOutcome(gamma=1, measurement=z)
                 if kalman:
                     sent = outcome.gamma == 1
-                    e = innovation(sent, outcome.measurement, z_pred)
+                    e = innovation_of(sent, outcome.measurement, z_pred)
                     update = measurement_update(pred.x_hat, pred.P, r, e, sent, h, fcfg.trigger.Y)
                     state = KfState(*update[:2])
                     iterations.append(0)
@@ -249,6 +250,30 @@ class TestRaggedEngine:
         assert sum(rows_per_round) == sweeps.sum()  # every row sweep runs once
         # Both of the loop's paths run: the stack replaced whole, and rows joining in place.
         assert any(whole_rounds) and not all(whole_rounds)
+
+    def test_only_variational_sweeps_form_the_scatter(self, monkeypatch):
+        """The measurement scatter B is formed in update_meas_cov alone: the Kalman rounds
+        never call it, and an etvbf round calls it once per sweep, on the sweep's rows."""
+        calls = {"update_meas_cov": [], "sweep": []}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(it, *args):
+                calls[name].append(it.iterations.size)
+                return real(it, *args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(filt, "update_meas_cov")
+        spy(harness, "sweep")
+        cfg = ExperimentConfig(n_step=20, y_scale=0.015)
+        for filter_id in ("clset-kf", "oracle-kf"):
+            run_trials(cfg, filter_id, range(3))
+            assert calls == {"update_meas_cov": [], "sweep": []}, filter_id
+        records = run_trials(cfg, "etvbf", range(3))
+        assert calls["update_meas_cov"] == calls["sweep"]
+        assert sum(calls["sweep"]) == sum(int(r.iterations.sum()) for r in records) > 60
 
     @pytest.mark.parametrize("filter_id", ["clset-kf", "oracle-kf"])
     def test_kalman_rounds_are_whole_steps(self, monkeypatch, filter_id):
@@ -874,9 +899,17 @@ class TestCli:
     @pytest.mark.parametrize("grid", ["", "0.1,,0.2"])
     def test_sweep_rejects_empty_grid_values(self, tmp_path, grid):
         out = tmp_path / "x"
-        with pytest.raises(ValueError, match="--grid"):
+        with pytest.raises(ValueError, match="--grid .* has '',"):
             cli_main(["sweep", "--param", "y", "--grid", grid, "--filters", "clset-kf",
                       "--mc", "1", "--steps", "8", "--out", str(out)])
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_names_a_grid_value_that_is_not_a_number(self, tmp_path):
+        """Not float's own error, which names neither the flag nor the whole grid."""
+        with pytest.raises(ValueError) as excinfo:
+            cli_main(["sweep", "--param", "y", "--grid", "0.1,abc", "--filters", "clset-kf",
+                      "--mc", "1", "--steps", "8", "--out", str(tmp_path / "x")])
+        assert str(excinfo.value).startswith("--grid '0.1,abc' has 'abc', which is not a number")
         assert not list(tmp_path.iterdir())
 
     def test_unknown_filter_names_the_valid_ids(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,34 @@ class TestSimulateTruth:
         sample_cov = np.cov(residuals.T)
         true_q = model.trueQ(1)
         assert np.linalg.norm(sample_cov - true_q) < 0.10 * np.linalg.norm(true_q)
+
+    @pytest.mark.parametrize("rows", [None, 5], ids=["one-stream", "five-rows"])
+    def test_measurements_are_each_steps_own_product(self, rows):
+        """z_k is bitwise H_k x_k + v_k of a hand loop over the steps, with a dense F_k and
+        H_k that change with k, for one stream and for a stack of 5."""
+        steps, rng = 12, np.random.default_rng(5)
+        f_tab = np.eye(4) + 0.1 * rng.standard_normal((steps, 4, 4))
+        h_tab = rng.standard_normal((steps, 2, 4))
+        model = dataclasses.replace(
+            build_cv_scenario(1.0, 500), F=lambda k: f_tab[k - 1], H=lambda k: h_tab[k - 1]
+        )
+        x0, _, _ = scenario_defaults()
+        keys = [7] if rows is None else [(7, i) for i in range(rows)]
+        traj = simulate_truth(
+            model, x0, steps, SeededRng(7) if rows is None else [SeededRng(key) for key in keys]
+        )
+        ks = range(1, steps + 1)
+        q_lower = np.linalg.cholesky(np.array([model.trueQ(k) for k in ks]))
+        r_lower = np.linalg.cholesky(np.array([model.trueR(k) for k in ks]))
+        for i, key in enumerate(keys):
+            draws = SeededRng(key).standard_normal(steps * 6).reshape(steps, 6)
+            x = x0
+            for k in ks:
+                x = np.matvec(model.F(k), x) + np.matvec(q_lower[k - 1], draws[k - 1, :4])
+                z = np.matvec(model.H(k), x) + np.matvec(r_lower[k - 1], draws[k - 1, 4:])
+                at = (k - 1,) if rows is None else (i, k - 1)
+                assert traj.states[at].tobytes() == x.tobytes()
+                assert traj.measurements[at].tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_stacked_rows_equal_single_calls(self, rows):
